@@ -23,9 +23,13 @@
 //! the policy axes being compared — so it computes each warmup **once**
 //! per unique (mix, seed, partition), under a canonical configuration,
 //! and forks the warmed state across the whole fetch × issue
-//! cross-product. The ablation study's warm cells warm under their own
-//! fetch policy and ablation set (an ablation changes the machine being
-//! warmed), deduplicated across repeat sweeps by the cache instead.
+//! cross-product. Those checkpoints are streamed, not tabled: the first
+//! cell of a key warms it and the key's last cell frees it, so a sweep
+//! holds about two checkpoints per worker however many keys it has —
+//! sweep memory is O(jobs), not O(keys). The ablation study's warm cells
+//! warm under their own fetch policy and ablation set (an ablation
+//! changes the machine being warmed), deduplicated across repeat sweeps
+//! by the cache instead.
 //! `--cold-warmup` disables checkpoint reuse (byte-identical results, one
 //! warmup per cell), `--checkpoint-dir` caches the checkpoints on disk
 //! across invocations, and the `checkpoint-write` / `checkpoint-verify`
@@ -187,8 +191,10 @@
 //! A sweep is a long-running fleet of independent cells, and the harness
 //! treats it that way ([`fault`], [`journal`]):
 //!
-//! * **Per-cell fault isolation.** Every cell (and every shared warmup)
-//!   runs behind `catch_unwind` at the scheduler boundary. A panic, an
+//! * **Per-cell fault isolation.** Every cell runs behind `catch_unwind`
+//!   at the scheduler boundary, and every shared warmup behind its own,
+//!   once per key: a panicking warmup fails exactly the cells of its key
+//!   with the same `warmup panicked` error. A panic, an
 //!   unloadable `riscv:`/`trace:` workload file, a checkpoint mismatch or
 //!   a post-retry I/O failure becomes a typed entry in the document's
 //!   `failed_cells` list — tagged `panic` / `workload` / `checkpoint` /

@@ -26,6 +26,7 @@ use smt_workload::{standard_mix, Benchmark, Program, RiscvImage, TraceImage};
 
 use crate::fault::{CellError, Degradation, DegradeReason};
 use crate::journal::{journal_key, Journal};
+use crate::warmup::{WarmGauge, WarmStream};
 
 /// Version of the JSON documents emitted by [`Study::to_json`],
 /// [`crate::ablation::AblationStudy::to_json`] and `smt_exp --json`. Bump
@@ -65,7 +66,7 @@ pub fn mix_by_name(name: &str) -> Option<Vec<Benchmark>> {
 pub const STUDY_MIXES: [&str; 4] = ["standard", "int8", "fp8", "mixed4"];
 
 /// One entry of a custom `+`-separated mix string (see [`parse_custom_mix`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MixEntry {
     /// A synthetic benchmark, by canonical name (e.g. `espresso`).
     Bench(Benchmark),
@@ -189,6 +190,17 @@ impl MixImages {
 /// Returns the mix-syntax error or the loader's message for an unreadable
 /// or malformed workload file.
 pub fn resolve_mix(mix: &str, seed: u64) -> Result<MixImages, String> {
+    resolve_mix_in(mix, seed, &mut HashMap::new())
+}
+
+/// The `riscv:` / `trace:` files one sweep has loaded, by entry: the
+/// images do not depend on the seed, so every seed (and every mix naming
+/// the same file) shares one `Arc`. A failed load is kept too, so each
+/// key that names the file gets the same typed error.
+type LoadedFiles = HashMap<MixEntry, Result<WorkloadSpec, String>>;
+
+/// [`resolve_mix`], loading each file through `files` at most once.
+fn resolve_mix_in(mix: &str, seed: u64, files: &mut LoadedFiles) -> Result<MixImages, String> {
     if !is_custom_mix(mix) {
         let benchmarks = mix_by_name(mix).ok_or_else(|| format!("unknown mix '{mix}'"))?;
         return Ok(MixImages::Programs(
@@ -203,29 +215,38 @@ pub fn resolve_mix(mix: &str, seed: u64) -> Result<MixImages, String> {
     for (slot, entry) in parse_custom_mix(mix)?.into_iter().enumerate() {
         workloads.push(match entry {
             MixEntry::Bench(b) => WorkloadSpec::Program(Arc::new(b.generate(seed, slot as u32))),
-            MixEntry::Elf(path) => WorkloadSpec::Elf(Arc::new(RiscvImage::load(&path)?)),
-            MixEntry::Trace(path) => WorkloadSpec::Trace(Arc::new(TraceImage::load(&path)?)),
+            file => files.entry(file).or_insert_with_key(load_file).clone()?,
         });
     }
     Ok(MixImages::Workloads(workloads))
 }
 
+fn load_file(entry: &MixEntry) -> Result<WorkloadSpec, String> {
+    match entry {
+        MixEntry::Elf(path) => Ok(WorkloadSpec::Elf(Arc::new(RiscvImage::load(path)?))),
+        MixEntry::Trace(path) => Ok(WorkloadSpec::Trace(Arc::new(TraceImage::load(path)?))),
+        MixEntry::Bench(b) => unreachable!("{b:?} is generated per seed, not loaded"),
+    }
+}
+
 /// Workload images for a sweep, resolved once per (mix, seed) and shared
-/// between every cell that uses the pair. Mix names are pre-validated
-/// ([`validate_mix`]) but file loads can still fail — per *key*, not per
-/// sweep: an unreadable `riscv:`/`trace:` file fails only the cells of
-/// its own (mix, seed) pair (as typed `workload` [`CellError`]s), while
-/// every other key's cells run to completion.
+/// between every cell that uses the pair; each `riscv:` / `trace:` file
+/// is loaded once per sweep and shared across seeds and mixes. Mix names
+/// are pre-validated ([`validate_mix`]) but file loads can still fail —
+/// per *key*, not per sweep: an unreadable `riscv:`/`trace:` file fails
+/// only the cells of the (mix, seed) pairs naming it (as typed `workload`
+/// [`CellError`]s), while every other key's cells run to completion.
 pub(crate) fn generate_images(
     mixes: &[String],
     seeds: &[u64],
 ) -> HashMap<(String, u64), Result<MixImages, String>> {
+    let mut files = LoadedFiles::new();
     let mut images = HashMap::new();
     for mix in mixes {
         for &seed in seeds {
             images
                 .entry((mix.clone(), seed))
-                .or_insert_with(|| resolve_mix(mix, seed));
+                .or_insert_with(|| resolve_mix_in(mix, seed, &mut files));
         }
     }
     images
@@ -253,8 +274,11 @@ pub struct StudyConfig {
     pub jobs: usize,
     /// Warm each unique (mix, seed, partition) once under the canonical
     /// configuration and fork the checkpoint across the policy
-    /// cross-product (see [`crate::warmup`]). `false` recomputes the same
-    /// canonical warmup per cell; results are byte-identical either way.
+    /// cross-product (see [`crate::warmup`]). Each checkpoint is warmed
+    /// when the first cell of its key runs and freed after the last, so
+    /// only about two per worker are held at once. `false` recomputes the
+    /// same canonical warmup per cell; results are byte-identical either
+    /// way.
     pub share_warmup: bool,
     /// Cache the per-key warmup checkpoints in this directory
     /// (`--checkpoint-dir`); entries are fingerprint-validated on load and
@@ -420,10 +444,13 @@ pub(crate) fn canonical_issue_name(name: &str) -> String {
 /// Runs the full study matrix, parallelized across OS threads. Each cell is
 /// an independent [`Simulator`](smt_core::Simulator), so the sweep scales to
 /// the available cores; program images are generated once per (mix, seed)
-/// and shared between the cells that use them. With
-/// [`StudyConfig::share_warmup`] (the default) the warmup window is also
-/// computed once per unique (mix, seed, partition) and forked across the
-/// fetch × issue cross-product as a checkpoint (see [`crate::warmup`]).
+/// and shared between the cells that use them, and each workload file is
+/// loaded once per sweep. With [`StudyConfig::share_warmup`] (the default)
+/// the warmup window is also computed once per unique (mix, seed,
+/// partition) and forked across the fetch × issue cross-product as a
+/// checkpoint (see [`crate::warmup`]). The checkpoints are streamed: the
+/// first cell of a key warms it and the key's last cell frees it, so
+/// sweep memory is O(jobs), not O(keys).
 ///
 /// Cell faults are contained: a panicking cell, an unloadable workload
 /// file, a checkpoint mismatch or a post-retry I/O failure becomes a
@@ -437,6 +464,11 @@ pub(crate) fn canonical_issue_name(name: &str) -> String {
 /// open error when the requested journal directory cannot be created —
 /// the only faults that still fail the whole sweep.
 pub fn run_study(cfg: &StudyConfig) -> Result<Study, String> {
+    run_study_gauged(cfg, &WarmGauge::default())
+}
+
+/// [`run_study`], counting the live shared-warmup checkpoints on `gauge`.
+pub(crate) fn run_study_gauged(cfg: &StudyConfig, gauge: &WarmGauge) -> Result<Study, String> {
     cfg.validate()?;
 
     let images = generate_images(&cfg.mixes, &cfg.seeds);
@@ -531,61 +563,33 @@ pub fn run_study(cfg: &StudyConfig) -> Result<Study, String> {
         }
     }
 
-    // One canonical warmup checkpoint per unique (mix, seed, partition)
-    // still needed by a non-journaled cell, computed up front (in
-    // parallel) and forked across every cell that shares the key. The
-    // cold path recomputes the identical canonical warmup per cell
-    // instead, so both paths yield byte-identical cells. A warmup that
-    // panics poisons exactly the cells that depend on its key.
-    type WarmKey = (String, u64, FetchPartition);
-    let (shared, mut warmups_performed) = if cfg.share_warmup {
-        let mut needed: Vec<WarmKey> = Vec::new();
+    // Shared warmups are streamed through the cell phase: each unique
+    // (mix, seed, partition) still needed by a non-journaled cell gets one
+    // slot, warmed by the first cell that needs it and freed after its
+    // last, so sweep memory grows with the worker count rather than the
+    // key count (see `WarmStream`). The cold path recomputes the identical
+    // canonical warmup per cell instead, so both paths yield
+    // byte-identical cells. A warmup that panics poisons exactly the cells
+    // that depend on its key.
+    let mut warm_slot: Vec<Option<usize>> = vec![None; specs.len()];
+    let mut pending: Vec<usize> = Vec::new();
+    if cfg.share_warmup {
+        let mut slot_of: HashMap<(&str, u64, FetchPartition), usize> = HashMap::new();
         for (i, spec) in specs.iter().enumerate() {
-            let key = (spec.mix.to_string(), spec.seed, spec.partition);
-            if journaled[i].is_none()
-                && images[&(key.0.clone(), key.1)].is_ok()
-                && !needed.contains(&key)
-            {
-                needed.push(key);
+            if journaled[i].is_some() || images[&(spec.mix.to_string(), spec.seed)].is_err() {
+                continue;
             }
+            let slot = *slot_of
+                .entry((spec.mix, spec.seed, spec.partition))
+                .or_insert_with(|| {
+                    pending.push(0);
+                    pending.len() - 1
+                });
+            pending[slot] += 1;
+            warm_slot[i] = Some(slot);
         }
-        let outcomes = smt_stats::sched::work_steal_map_catch(needed.len(), cfg.jobs, |i| {
-            let (mix, seed, partition) = &needed[i];
-            let imgs = images[&(mix.clone(), *seed)]
-                .as_ref()
-                .expect("needed keys filtered to loadable images");
-            crate::warmup::warm_checkpoint(
-                imgs,
-                mix,
-                *seed,
-                *partition,
-                cfg.warmup,
-                cfg.checkpoint_dir.as_deref(),
-            )
-        });
-        let mut computed = 0;
-        let mut map: HashMap<WarmKey, Result<Arc<Vec<u8>>, CellError>> = HashMap::new();
-        for (key, outcome) in needed.into_iter().zip(outcomes) {
-            match outcome {
-                Ok(warm) => {
-                    if warm.computed {
-                        computed += 1;
-                    }
-                    degraded.extend(warm.degradations);
-                    map.insert(key, Ok(warm.checkpoint));
-                }
-                Err(panic_msg) => {
-                    map.insert(
-                        key,
-                        Err(CellError::panic(format!("warmup panicked: {panic_msg}"))),
-                    );
-                }
-            }
-        }
-        (Some(map), computed)
-    } else {
-        (None, 0)
-    };
+    }
+    let stream = cfg.share_warmup.then(|| WarmStream::new(pending, gauge));
 
     // The cell phase, each cell isolated behind `catch_unwind` at the
     // scheduler boundary: one cell's fault becomes its own failure record
@@ -598,6 +602,10 @@ pub fn run_study(cfg: &StudyConfig) -> Result<Study, String> {
     }
     let outcomes = smt_stats::sched::work_steal_map_catch(specs.len(), cfg.jobs, |i| {
         let spec = &specs[i];
+        let _hold = stream
+            .as_ref()
+            .zip(warm_slot[i])
+            .map(|(s, slot)| s.hold(slot));
         #[cfg(feature = "fault-inject")]
         smt_stats::faults::panic_point("cell", i as u64);
         let mix_images = match &images[&(spec.mix.to_string(), spec.seed)] {
@@ -620,11 +628,17 @@ pub fn run_study(cfg: &StudyConfig) -> Result<Study, String> {
             });
         }
         let mut warmed_cold = false;
-        let checkpoint = match &shared {
-            Some(map) => match &map[&(spec.mix.to_string(), spec.seed, spec.partition)] {
-                Ok(bytes) => bytes.clone(),
-                Err(poisoned) => return Err(poisoned.clone()),
-            },
+        let checkpoint = match stream.as_ref().zip(warm_slot[i]) {
+            Some((stream, slot)) => stream.checkpoint(slot, || {
+                crate::warmup::warm_checkpoint(
+                    mix_images,
+                    spec.mix,
+                    spec.seed,
+                    spec.partition,
+                    cfg.warmup,
+                    cfg.checkpoint_dir.as_deref(),
+                )
+            })?,
             None => {
                 warmed_cold = true;
                 Arc::new(crate::warmup::compute_checkpoint(
@@ -701,10 +715,15 @@ pub fn run_study(cfg: &StudyConfig) -> Result<Study, String> {
             }),
         }
     }
+    let warmups_performed = match stream {
+        Some(stream) => {
+            let (computed, warm_degradations) = stream.finish();
+            degraded.extend(warm_degradations);
+            computed
+        }
+        None => cold_warmups,
+    };
     degraded.extend(store_degradations);
-    if !cfg.share_warmup {
-        warmups_performed = cold_warmups;
-    }
     Ok(Study {
         config: cfg.clone(),
         cells,
@@ -947,6 +966,7 @@ fn spread(means: &[(String, f64)]) -> f64 {
 mod tests {
     use super::*;
     use crate::fault::CellErrorKind;
+    use std::sync::atomic::Ordering;
 
     fn tiny_study() -> StudyConfig {
         StudyConfig {
@@ -1351,6 +1371,166 @@ mod tests {
                 .and_then(|e| e.get("kind"))
                 .and_then(Json::as_str),
             Some("workload")
+        );
+    }
+
+    /// 32 warm keys (16 seeds × 2 partitions) of 4 cells each.
+    fn many_keys() -> StudyConfig {
+        StudyConfig {
+            partitions: vec![FetchPartition::new(2, 2), FetchPartition::new(2, 8)],
+            seeds: (0..16).collect(),
+            cycles: 100,
+            warmup: 50,
+            ..tiny_study()
+        }
+    }
+
+    #[test]
+    fn live_checkpoints_stay_bounded_by_the_worker_count() {
+        let cfg = many_keys();
+        let keys = cfg.seeds.len() * cfg.partitions.len();
+        assert!(keys >= 32);
+        let mut reference = None;
+        for jobs in [1, 2, 8] {
+            let cfg = StudyConfig {
+                jobs,
+                ..cfg.clone()
+            };
+            let gauge = WarmGauge::default();
+            let study = run_study_gauged(&cfg, &gauge).unwrap();
+            assert!(study.failed.is_empty());
+            assert_eq!(
+                study.warmups_performed, keys,
+                "jobs={jobs}: one warmup per key"
+            );
+            let workers = smt_stats::sched::resolve_workers(jobs, cfg.cell_count());
+            let peak = gauge.peak.load(Ordering::Relaxed);
+            assert!(
+                (1..=2 * workers).contains(&peak),
+                "jobs={jobs}: {peak} checkpoints alive at once on {workers} workers"
+            );
+            assert_eq!(gauge.live.load(Ordering::Relaxed), 0, "jobs={jobs}: leaked");
+            let doc = study.to_json().render_pretty();
+            assert_eq!(doc, *reference.get_or_insert_with(|| doc.clone()));
+        }
+    }
+
+    #[test]
+    fn journaled_keys_warm_only_for_the_cells_they_still_run() {
+        let dir = std::env::temp_dir().join(format!(
+            "smt-exp-study-journal-stream-{}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = StudyConfig {
+            journal: Some(dir.clone()),
+            ..many_keys()
+        };
+        let reference = run_study(&cfg).unwrap().to_json().render_pretty();
+        let journal = Journal::open(&dir).unwrap();
+        let key_cells = |seed: u64, partition: FetchPartition| {
+            let images = resolve_mix("mixed4", seed).unwrap();
+            let fp = config_fingerprint(&crate::warmup::canonical_config_for(
+                &images, seed, partition,
+            ));
+            let mut paths = Vec::new();
+            for fetch in &cfg.fetch_policies {
+                for issue in &cfg.issue_policies {
+                    paths.push(journal.entry_path(journal_key(
+                        fp,
+                        &["issue-study", fetch, issue],
+                        &[cfg.cycles, cfg.warmup],
+                    )));
+                }
+            }
+            paths
+        };
+        // Key (0, 2.2) stays fully journaled, key (0, 2.8) loses one
+        // entry and key (1, 2.2) loses all of them.
+        let [p22, p28] = [cfg.partitions[0], cfg.partitions[1]];
+        std::fs::remove_file(&key_cells(0, p28)[1]).unwrap();
+        for path in key_cells(1, p22) {
+            std::fs::remove_file(path).unwrap();
+        }
+        let gauge = WarmGauge::default();
+        let resumed = run_study_gauged(&cfg, &gauge).unwrap();
+        assert_eq!(resumed.journal_loaded, cfg.cell_count() - 5);
+        assert_eq!(
+            resumed.warmups_performed, 2,
+            "only the two gapped keys warm"
+        );
+        assert_eq!(gauge.peak.load(Ordering::Relaxed), 1);
+        assert_eq!(gauge.live.load(Ordering::Relaxed), 0);
+        assert_eq!(resumed.to_json().render_pretty(), reference);
+        // A fully journaled sweep warms nothing at all.
+        let gauge = WarmGauge::default();
+        let full = run_study_gauged(&cfg, &gauge).unwrap();
+        assert_eq!(full.journal_loaded, cfg.cell_count());
+        assert_eq!(full.warmups_performed, 0);
+        assert_eq!(gauge.peak.load(Ordering::Relaxed), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn workload_files_load_once_per_sweep() {
+        let loops = elf_path("loops");
+        let mixes = vec![
+            format!("riscv:{loops}+espresso"),
+            format!("riscv:{}+riscv:{loops}", elf_path("gcd")),
+        ];
+        let seeds = [42, 7];
+        let images = generate_images(&mixes, &seeds);
+        let slot = |mix: &str, seed: u64, slot: usize| match &images[&(mix.to_string(), seed)] {
+            Ok(MixImages::Workloads(w)) => w[slot].clone(),
+            other => panic!("{mix}/s{seed} resolved to {other:?}"),
+        };
+        let elf = |spec: WorkloadSpec| match spec {
+            WorkloadSpec::Elf(img) => img,
+            other => panic!("expected an ELF, got {}", other.name()),
+        };
+        let first = elf(slot(&mixes[0], 42, 0));
+        for (mix, seed, at) in [(&mixes[0], 7, 0), (&mixes[1], 42, 1), (&mixes[1], 7, 1)] {
+            assert!(
+                Arc::ptr_eq(&first, &elf(slot(mix, seed, at))),
+                "{mix}/s{seed} reloaded loops.elf"
+            );
+        }
+        // Synthetic entries still depend on the seed.
+        let program = |seed| match slot(&mixes[0], seed, 1) {
+            WorkloadSpec::Program(p) => p,
+            other => panic!("expected a program, got {}", other.name()),
+        };
+        assert!(!Arc::ptr_eq(&program(42), &program(7)));
+
+        // Sharing the file across seeds changes no result: the two-seed
+        // sweep's cells match one sweep per seed, byte for byte.
+        let cfg = StudyConfig {
+            mixes: mixes.clone(),
+            seeds: seeds.to_vec(),
+            issue_policies: vec!["oldest".into()],
+            cycles: 300,
+            warmup: 100,
+            ..tiny_study()
+        };
+        let study = run_study(&cfg).unwrap();
+        let mut alone = Vec::new();
+        for mix in &mixes {
+            for seed in seeds {
+                let single = StudyConfig {
+                    mixes: vec![mix.clone()],
+                    seeds: vec![seed],
+                    ..cfg.clone()
+                };
+                alone.extend(run_study(&single).unwrap().cells);
+            }
+        }
+        assert_eq!(study.cells.len(), alone.len());
+        for (a, b) in study.cells.iter().zip(&alone) {
+            assert_eq!(a.report.to_json().render(), b.report.to_json().render());
+        }
+        assert_eq!(
+            study.to_json().render_pretty(),
+            run_study(&cfg).unwrap().to_json().render_pretty()
         );
     }
 

@@ -7,7 +7,10 @@
 //! fetch, OLDEST_FIRST issue, no ablations — and the resulting
 //! [`Simulator::save_checkpoint`] bytes are forked across the whole
 //! fetch × issue cross-product (policies only steer the measured window;
-//! they do not define the machine being warmed). The **ablation study**
+//! they do not define the machine being warmed). The checkpoints stream
+//! through the sweep (`WarmStream`): a key is warmed by the first cell
+//! that needs it and freed after its last, so the sweep holds about two
+//! checkpoints per worker rather than one per key. The **ablation study**
 //! cannot share that way — an ablation changes the machine itself, so a
 //! warm cell must warm under its own fetch policy and ablation set to
 //! keep the attribution numbers meaningful — and instead forks each warm
@@ -41,7 +44,8 @@
 //! document's `degraded_cells` list.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use smt_core::checkpoint::config_fingerprint;
 use smt_core::{
@@ -49,7 +53,7 @@ use smt_core::{
 };
 use smt_workload::Program;
 
-use crate::fault::{Degradation, DegradeReason};
+use crate::fault::{CellError, Degradation, DegradeReason};
 use crate::study::{resolve_mix, MixImages};
 
 /// The canonical warmup configuration for a (workloads, seed, partition)
@@ -253,6 +257,136 @@ fn load_cached(
         )));
     }
     Ok(Some(bytes))
+}
+
+/// How many warmed checkpoints a [`WarmStream`] holds right now, and the
+/// most it ever held at once.
+#[derive(Debug, Default)]
+pub(crate) struct WarmGauge {
+    pub(crate) live: AtomicUsize,
+    pub(crate) peak: AtomicUsize,
+}
+
+/// The issue study's per-key checkpoint table, streamed through the
+/// sweep: a key is warmed by the first cell that needs it and freed after
+/// its last cell, so only the keys in flight hold their ~380 KB of bytes.
+/// Specs are enumerated key-major and the scheduler hands out contiguous
+/// claims, so at most about two keys per worker are alive at once (the
+/// one a worker is running, and one a later claim warmed while an
+/// earlier claim still has cells of it to run).
+pub(crate) struct WarmStream<'g> {
+    slots: Vec<WarmSlot>,
+    gauge: &'g WarmGauge,
+}
+
+struct WarmSlot {
+    /// Cells that still need the key.
+    pending: AtomicUsize,
+    state: Mutex<SlotState>,
+}
+
+#[derive(Default)]
+struct SlotState {
+    /// `None` until the first cell warms the key, and again after the
+    /// last cell releases it.
+    checkpoint: Option<Result<Arc<Vec<u8>>, CellError>>,
+    computed: bool,
+    degradations: Vec<Degradation>,
+}
+
+/// Warmups are caught inside the lock, so a poisoned slot is only ever
+/// the aftermath of a panic in this module's own bookkeeping; its state
+/// is still consistent.
+fn lock(slot: &WarmSlot) -> MutexGuard<'_, SlotState> {
+    slot.state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<'g> WarmStream<'g> {
+    /// One slot per key, each expecting `pending[slot]` cells.
+    pub(crate) fn new(pending: Vec<usize>, gauge: &'g WarmGauge) -> WarmStream<'g> {
+        let slots = pending
+            .into_iter()
+            .map(|n| WarmSlot {
+                pending: AtomicUsize::new(n),
+                state: Mutex::default(),
+            })
+            .collect();
+        WarmStream { slots, gauge }
+    }
+
+    /// The key's checkpoint. The first caller runs `warm` under the key's
+    /// lock; concurrent callers for the same key wait for it. A panicking
+    /// warmup is caught here, once, and every cell of the key gets the
+    /// same `warmup panicked` error.
+    pub(crate) fn checkpoint(
+        &self,
+        slot: usize,
+        warm: impl FnOnce() -> WarmOutcome,
+    ) -> Result<Arc<Vec<u8>>, CellError> {
+        let mut state = lock(&self.slots[slot]);
+        if state.checkpoint.is_none() {
+            let outcome = smt_stats::sched::catch_panic(|| {
+                #[cfg(feature = "fault-inject")]
+                smt_stats::faults::panic_point("warmup", slot as u64);
+                warm()
+            });
+            let checkpoint = match outcome {
+                Ok(warm) => {
+                    state.computed = warm.computed;
+                    state.degradations = warm.degradations;
+                    let live = self.gauge.live.fetch_add(1, Ordering::Relaxed) + 1;
+                    self.gauge.peak.fetch_max(live, Ordering::Relaxed);
+                    Ok(warm.checkpoint)
+                }
+                Err(msg) => Err(CellError::panic(format!("warmup panicked: {msg}"))),
+            };
+            state.checkpoint = Some(checkpoint);
+        }
+        state.checkpoint.clone().expect("filled above")
+    }
+
+    /// Holds the key for one cell. Dropping the hold — on return or
+    /// while a panic unwinds — counts the cell done; the last cell of the
+    /// key frees its checkpoint.
+    pub(crate) fn hold(&self, slot: usize) -> SlotHold<'_, 'g> {
+        SlotHold { stream: self, slot }
+    }
+
+    /// Warmups actually simulated, and the cache degradations of every
+    /// warmed key in slot order.
+    pub(crate) fn finish(self) -> (usize, Vec<Degradation>) {
+        let mut computed = 0;
+        let mut degradations = Vec::new();
+        for slot in self.slots {
+            let state = slot
+                .state
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner);
+            computed += usize::from(state.computed);
+            degradations.extend(state.degradations);
+        }
+        (computed, degradations)
+    }
+}
+
+/// One cell's claim on a [`WarmStream`] key (see [`WarmStream::hold`]).
+pub(crate) struct SlotHold<'s, 'g> {
+    stream: &'s WarmStream<'g>,
+    slot: usize,
+}
+
+impl Drop for SlotHold<'_, '_> {
+    fn drop(&mut self) {
+        let slot = &self.stream.slots[self.slot];
+        // Exactly one hold sees the count reach zero; the bytes it frees
+        // are guarded by the slot's lock and by the `Arc` itself, so the
+        // count publishes nothing else.
+        if slot.pending.fetch_sub(1, Ordering::Relaxed) == 1 {
+            if let Some(Ok(_)) = lock(slot).checkpoint.take() {
+                self.stream.gauge.live.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 /// Forks one measurement cell off a warmed checkpoint: restore under the

@@ -121,6 +121,43 @@ fn injected_panics_fail_exactly_those_cells_across_worker_counts() {
 }
 
 #[test]
+fn a_panicking_warmup_fails_exactly_the_cells_of_its_key() {
+    let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    clear();
+    let reference = run_study(&tiny(1)).unwrap();
+    let doc = reference.to_json().render_pretty();
+    // `tiny` has two warm keys of four cells each: key 0 is partition
+    // 2.2 (cells 0..4), key 1 is partition 2.8 (cells 4..8).
+    let poisoned = FetchPartition::new(2, 8);
+    for jobs in [1, 2, 8] {
+        // One shot: the key's warmup runs once, so all four of its cells
+        // must share that one failure. A cell fault on the other key
+        // still fails only its own cell.
+        arm("warmup", Some(1), FaultKind::Panic, 1);
+        arm("cell", Some(0), FaultKind::Panic, 1);
+        let study = quiet(|| run_study(&tiny(jobs))).unwrap();
+        assert_eq!(remaining_shots(), 0, "jobs={jobs}: every armed fault fires");
+        clear();
+        assert_eq!(study.failed.len(), 5, "jobs={jobs}");
+        for f in &study.failed {
+            assert_eq!(f.error.kind, CellErrorKind::Panic);
+            let expect = if f.partition == poisoned {
+                "warmup panicked: injected panic at warmup#1"
+            } else {
+                "injected panic at cell#0"
+            };
+            assert_eq!(f.error.message, expect, "jobs={jobs}");
+        }
+        assert_eq!(study.warmups_performed, 1, "jobs={jobs}");
+        assert_healthy_cells_bit_exact(&study, &reference);
+        // No lock stays poisoned: the next sweep in this process is clean.
+        let again = run_study(&tiny(jobs)).unwrap();
+        assert!(again.failed.is_empty(), "jobs={jobs}");
+        assert_eq!(again.to_json().render_pretty(), doc, "jobs={jobs}");
+    }
+}
+
+#[test]
 fn transient_journal_io_is_absorbed_by_retries() {
     let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     clear();

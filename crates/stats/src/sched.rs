@@ -169,19 +169,24 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    work_steal_map(count, jobs, move |i| {
-        // The closure only borrows `run`; any broken invariants a panic
-        // could leave behind are confined to the job's own result, which
-        // is replaced by the error — hence `AssertUnwindSafe`.
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(i))).map_err(|payload| {
-            if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "opaque panic payload".to_string()
-            }
-        })
+    work_steal_map(count, jobs, move |i| catch_panic(|| run(i)))
+}
+
+/// Runs `f` under [`std::panic::catch_unwind`], rendering a panic payload
+/// the way [`work_steal_map_catch`] does: the message when it is a
+/// `String` or `&str`, a fixed placeholder otherwise.
+pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    // The closure's broken invariants, if a panic leaves any, are
+    // confined to its own result, which is replaced by the error — hence
+    // `AssertUnwindSafe`.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "opaque panic payload".to_string()
+        }
     })
 }
 
