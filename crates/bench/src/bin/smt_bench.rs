@@ -13,33 +13,26 @@
 //!
 //! ```text
 //! smt_bench [CYCLES] [--json PATH] [--reference-only] [--checkpoint]
-//!           [--fleet] [--fleet-cells N] [--jobs N] [--pgo-from PATH]
-//!           [--stage-timing]
+//!           [--pgo-from PATH] [--stage-timing]
 //!           [--baseline PATH | --baseline-latest DIR] [--max-regress FRAC]
 //! ```
 //!
 //! `CYCLES` defaults to 200000 simulated cycles per measurement; `--json`
 //! additionally writes the machine-readable `"smt-bench"` document
-//! (schema 4: per-reference `insts_per_sec` under `references`, plus the
-//! `fleet` object with `--fleet`). `--reference-only` measures just
+//! (per-reference `insts_per_sec` under `references`). `--reference-only` measures just
 //! ICOUNT/standard — the quick local check. `--checkpoint` additionally
 //! measures each reference's warmed-state checkpoint: size in bytes plus
 //! best-of-3 save and restore latency, printed and carried in the JSON
-//! document's `checkpoints` map (additive). `--fleet` measures the
-//! aggregate insts/s of `--fleet-cells` (default 12) reference
-//! configurations batched through one `SimFleet` on `--jobs` workers
-//! (default: one per core) — see "Fleet mode" in the `smt-bench` crate
-//! docs. `--baseline` reads a previously written document (e.g. the
+//! document's `checkpoints` map (additive). `--baseline` reads a previously written document (e.g. the
 //! committed `BENCH_*.json` trajectory files) and prints the speedup
 //! factor per reference; `--baseline-latest DIR` auto-picks the
 //! `BENCH_PR<N>.json` in `DIR` with the highest PR number, so the
 //! comparison re-pins itself whenever a newer baseline is committed. With
 //! `--max-regress FRAC` the run exits non-zero when any reference present
-//! in **both** documents — including the fleet's synthetic
-//! `FLEET/aggregate` — fell more than `FRAC` (e.g. `0.30`) below its
+//! in **both** documents fell more than `FRAC` (e.g. `0.30`) below its
 //! like-for-like baseline rate — the CI throughput guard. (Old baselines
-//! carry neither every reference nor a fleet section; only names present
-//! in both are guarded.)
+//! do not carry every reference; only names present in both are
+//! guarded.)
 //!
 //! `--pgo-from PATH` reads the document written by a **profile-guided**
 //! build of this same binary (`scripts/pgo.sh build`, then
@@ -54,9 +47,9 @@
 //! builds and of every number this binary reports elsewhere).
 
 use smt_bench::{
-    baseline_reference_rates, bench_checkpoint, bench_fleet, bench_to_json_full,
-    find_latest_baseline, pgo_uplift, riscv_reference_spec, CheckpointBench, FleetBench, PgoBench,
-    ReferenceResult, FLEET_REFERENCE, REFERENCE_FETCHES, REFERENCE_MIXES, RISCV_REFERENCE_MIX,
+    baseline_reference_rates, bench_checkpoint, bench_to_json_full, find_latest_baseline,
+    pgo_uplift, riscv_reference_spec, CheckpointBench, PgoBench, ReferenceResult,
+    REFERENCE_FETCHES, REFERENCE_MIXES, RISCV_REFERENCE_MIX,
 };
 
 fn main() {
@@ -66,9 +59,6 @@ fn main() {
     let mut max_regress: Option<f64> = None;
     let mut reference_only = false;
     let mut checkpoint = false;
-    let mut fleet = false;
-    let mut fleet_cells: usize = 12;
-    let mut jobs: usize = 0;
     let mut pgo_from: Option<String> = None;
     let mut stage_timing = false;
     let mut args = std::env::args().skip(1);
@@ -84,15 +74,6 @@ fn main() {
             "--pgo-from" => match args.next() {
                 Some(path) => pgo_from = Some(path),
                 None => die("--pgo-from requires a path"),
-            },
-            "--fleet" => fleet = true,
-            "--fleet-cells" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => fleet_cells = n,
-                _ => die("--fleet-cells requires a positive number"),
-            },
-            "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => jobs = n,
-                None => die("--jobs requires a number (0 = one per core)"),
             },
             "--baseline" => match args.next() {
                 Some(path) => match baseline_path {
@@ -122,7 +103,7 @@ fn main() {
                 Ok(n) => cycles = n,
                 Err(_) => die(&format!(
                     "usage: smt_bench [CYCLES] [--json PATH] [--reference-only] [--checkpoint] \
-                     [--fleet] [--fleet-cells N] [--jobs N] [--pgo-from PATH] [--stage-timing] \
+                     [--pgo-from PATH] [--stage-timing] \
                      [--baseline PATH | --baseline-latest DIR] [--max-regress FRAC]   \
                      (CYCLES must be a number, got '{arg}')"
                 )),
@@ -189,28 +170,6 @@ fn main() {
         headline.best.ips() / 1e3
     );
 
-    let fleet_result: Option<FleetBench> = if fleet {
-        let f = bench_fleet(fleet_cells, cycles, jobs);
-        println!("{FLEET_REFERENCE:16} : {f}");
-        // Same committed-instructions metric as the references, so the
-        // ratio reads as effective parallel speedup over one instance.
-        let single = references
-            .iter()
-            .find(|r| r.name == "ICOUNT/standard")
-            .map(|r| r.best.ips());
-        if let Some(single) = single {
-            println!(
-                "{FLEET_REFERENCE:16} : {:.2}x the single-instance ICOUNT/standard rate \
-                 on {} workers",
-                f.aggregate_ips() / single,
-                f.workers
-            );
-        }
-        Some(f)
-    } else {
-        None
-    };
-
     let pgo_result: Option<PgoBench> = pgo_from.map(|path| {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| die(&format!("failed to read PGO document {path}: {e}")));
@@ -233,12 +192,7 @@ fn main() {
     });
 
     if let Some(path) = json_path {
-        let doc = bench_to_json_full(
-            &references,
-            &checkpoints,
-            fleet_result.as_ref(),
-            pgo_result.as_ref(),
-        );
+        let doc = bench_to_json_full(&references, &checkpoints, pgo_result.as_ref());
         if let Err(e) = std::fs::write(&path, doc.render_pretty()) {
             die(&format!("failed to write {path}: {e}"));
         }
@@ -264,21 +218,12 @@ fn main() {
             );
         }
         // Like-for-like comparison: only references present in both runs.
-        // The fleet aggregate joins under its synthetic name, so it is
-        // guarded exactly like a reference once a baseline carries one.
-        let mut measured: Vec<(String, f64)> = references
-            .iter()
-            .map(|r| (r.name.clone(), r.best.ips()))
-            .collect();
-        if let Some(f) = &fleet_result {
-            measured.push((FLEET_REFERENCE.to_string(), f.aggregate_ips()));
-        }
         let mut regressed = Vec::new();
-        for (name, now) in &measured {
-            let Some(&(_, base)) = base_rates.iter().find(|(n, _)| n == name) else {
+        for r in &references {
+            let Some(&(_, base)) = base_rates.iter().find(|(n, _)| *n == r.name) else {
                 continue;
             };
-            let (name, now) = (name.as_str(), *now);
+            let (name, now) = (r.name.as_str(), r.best.ips());
             println!(
                 "  {:16} {:.2}x ({:.0} -> {:.0} kinsts/s)",
                 name,

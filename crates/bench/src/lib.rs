@@ -8,44 +8,10 @@
 //! performance PRs report against these baselines via the `smt_bench`
 //! binary; `smt_bench --json` emits the machine-readable `"smt-bench"`
 //! document (same `schema_version` convention as `smt_exp --json`, with
-//! per-reference rates since version 3, the fleet section since
-//! version 4 and the optional `pgo` uplift section since version 5) for
+//! per-reference rates since version 3 and the optional `pgo` uplift
+//! section since version 5) for
 //! BENCH_*.json trajectory tracking, and the CI guard compares each
 //! reference like for like.
-//!
-//! # Fleet mode
-//!
-//! `smt_bench --fleet` measures **aggregate** simulation throughput: N
-//! independent reference configurations run in one process through
-//! [`SimFleet`](smt_core::SimFleet) (`--fleet-cells N`, default 12,
-//! cycling fetch policy fastest, then mix, then seed, so consecutive
-//! cells share nothing but the engine). Setup is excluded from the
-//! measurement exactly as in the single-instance benchmark: program
-//! images are generated and one warmed checkpoint per unique (mix, seed,
-//! partition) key is computed up front (the PR-6 sharing path — each
-//! checkpoint seeds both the RR and the ICOUNT cell of its key), then the
-//! fleet runs and
-//!
-//! ```text
-//! aggregate insts/s = Σ committed(cell) / fleet wall-clock seconds
-//! ```
-//!
-//! over all cells together — wall time of the whole batch, not a sum of
-//! per-cell rates, so the number only grows when the machine genuinely
-//! retires more simulated instructions per second across all cores. On a
-//! single core the aggregate roughly matches the single-instance rate
-//! (interleaving adds nothing but also costs nothing); on an M-core host
-//! it approaches M× because cells are independent and the work-stealing
-//! queue keeps every core busy.
-//!
-//! In the schema-4 JSON document the fleet lands in two places: the
-//! top-level `fleet` object (cell count, worker count, per-cell cycles,
-//! warm-key accounting, total committed, wall seconds,
-//! `aggregate_insts_per_sec`) and — for the regression guard — a
-//! synthetic [`FLEET_REFERENCE`] (`"FLEET/aggregate"`) entry returned by
-//! [`baseline_reference_rates`], so `--max-regress` compares the fleet
-//! aggregate like for like whenever both documents carry one and skips it
-//! against pre-fleet baselines.
 //!
 //! # Profiling the hot loop
 //!
@@ -164,9 +130,8 @@ impl BenchResult {
 }
 
 /// Version of the `"smt-bench"` JSON document. Version 3 added the
-/// multi-reference `references` map; version 4 added the optional `fleet`
-/// object (aggregate throughput across a [`SimFleet`](smt_core::SimFleet)
-/// of reference configurations — see "Fleet mode" in the crate docs);
+/// multi-reference `references` map; version 4 added a `fleet` object
+/// (since removed with its engine; readers ignore it in old baselines);
 /// version 5 added the optional `pgo` object (`--pgo-from`, the uplift of
 /// a profile-guided build over this one, reported separately so the
 /// guarded reference rates stay plain-build like-for-like).
@@ -186,7 +151,7 @@ pub const REFERENCE_MIXES: [&str; 3] = ["standard", "int8", "fp8"];
 /// measured alongside the synthetic matrix and guarded under
 /// `"ICOUNT/riscv3"` / `"RR/riscv3"`; baselines committed before the
 /// backend existed simply lack those names, so the like-for-like guard
-/// skips them against old documents exactly as it does for the fleet.
+/// skips them against old documents.
 pub const RISCV_REFERENCE_MIX: &str = "riscv3";
 
 /// The custom-mix string behind [`RISCV_REFERENCE_MIX`]: a `+`-separated
@@ -348,154 +313,6 @@ pub fn bench_checkpoint(fetch: &str, mix: &str, cycles: u64, runs: usize) -> Che
     }
 }
 
-/// The synthetic reference name the fleet aggregate is guarded under:
-/// the key [`baseline_reference_rates`] reports a document's
-/// `fleet.aggregate_insts_per_sec` as, so the like-for-like regression
-/// guard covers the fleet alongside the single-instance references.
-pub const FLEET_REFERENCE: &str = "FLEET/aggregate";
-
-/// Result of one fleet measurement (`smt_bench --fleet`): N reference
-/// configurations run to completion in one process, timed as a batch.
-/// See "Fleet mode" in the crate docs for how the cells are chosen and
-/// what the aggregate means.
-#[derive(Debug, Clone)]
-pub struct FleetBench {
-    /// Number of cells the fleet ran.
-    pub cells: usize,
-    /// Worker threads that ran them (resolved from the available cores).
-    pub workers: usize,
-    /// Measured cycles each cell simulated.
-    pub cycles_per_cell: u64,
-    /// Warmup cycles captured in each cell's checkpoint.
-    pub warmup_cycles: u64,
-    /// Unique (mix, seed, partition) warm keys — warmups actually
-    /// simulated; every cell forks one of these shared checkpoints.
-    pub warm_keys: usize,
-    /// Correct-path instructions committed across all cells' measured
-    /// windows.
-    pub total_committed: u64,
-    /// Wall-clock time of the whole fleet run (setup excluded).
-    pub wall: Duration,
-}
-
-impl FleetBench {
-    /// Aggregate simulated instructions per wall-clock second across all
-    /// cells: `total_committed / wall`.
-    pub fn aggregate_ips(&self) -> f64 {
-        self.total_committed as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// This measurement as the `fleet` object of the `"smt-bench"`
-    /// document (schema version 4).
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("cells", Json::from(self.cells)),
-            ("workers", Json::from(self.workers)),
-            ("cycles_per_cell", Json::from(self.cycles_per_cell)),
-            ("warmup_cycles", Json::from(self.warmup_cycles)),
-            ("warm_keys", Json::from(self.warm_keys)),
-            ("total_committed", Json::from(self.total_committed)),
-            ("wall_seconds", Json::from(self.wall.as_secs_f64())),
-            ("aggregate_insts_per_sec", Json::from(self.aggregate_ips())),
-        ])
-    }
-}
-
-impl std::fmt::Display for FleetBench {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} cells on {} workers ({} warm keys), {} committed in {:.3}s \
-             -> {:.0} kinsts/s aggregate",
-            self.cells,
-            self.workers,
-            self.warm_keys,
-            self.total_committed,
-            self.wall.as_secs_f64(),
-            self.aggregate_ips() / 1e3,
-        )
-    }
-}
-
-/// Measures fleet aggregate throughput: builds `cells` reference
-/// configurations (cycling fetch policy, then mix, then seed over the
-/// reference matrix), computes one shared warmed checkpoint per unique
-/// (mix, seed) key, forks every cell off its key's checkpoint, and times
-/// one [`SimFleet`](smt_core::SimFleet) run of `cycles` measured cycles
-/// per cell on `jobs` workers (`0` = one per core). Checkpoint warmup is
-/// `cycles / 10` and is excluded from the measurement, like construction
-/// and program generation in the single-instance benchmark.
-///
-/// # Panics
-///
-/// Panics if `cells` is zero.
-pub fn bench_fleet(cells: usize, cycles: u64, jobs: usize) -> FleetBench {
-    use std::sync::Arc;
-
-    assert!(cells > 0, "a fleet needs at least one cell");
-    let warmup = (cycles / 10).max(1);
-    let partition = smt_core::FetchPartition::new(2, 8);
-
-    // Cell i: fetch cycles fastest so each warm key's checkpoint seeds
-    // both the RR and the ICOUNT cell before the next key begins.
-    let spec = |i: usize| {
-        let fetch = REFERENCE_FETCHES[i % REFERENCE_FETCHES.len()];
-        let mix = REFERENCE_MIXES[(i / REFERENCE_FETCHES.len()) % REFERENCE_MIXES.len()];
-        let seed = 42 + (i / (REFERENCE_FETCHES.len() * REFERENCE_MIXES.len())) as u64;
-        (fetch, mix, seed)
-    };
-
-    // One program image set and one warmed checkpoint per unique
-    // (mix, seed) key, shared across the cells that fork it.
-    let mut keys: Vec<(&str, u64)> = Vec::new();
-    for i in 0..cells {
-        let (_, mix, seed) = spec(i);
-        if !keys.contains(&(mix, seed)) {
-            keys.push((mix, seed));
-        }
-    }
-    // (workload images, warmed checkpoint) per key.
-    type WarmKey = (smt_experiments::study::MixImages, Arc<Vec<u8>>);
-    let warmed: Vec<WarmKey> = keys
-        .iter()
-        .map(|&(mix, seed)| {
-            let images = smt_experiments::study::resolve_mix(mix, seed)
-                .unwrap_or_else(|e| panic!("cannot resolve mix '{mix}': {e}"));
-            let warm = smt_experiments::warmup::warm_checkpoint(
-                &images, mix, seed, partition, warmup, None,
-            );
-            (images, warm.checkpoint)
-        })
-        .collect();
-
-    let mut fleet = smt_core::SimFleet::new().with_jobs(jobs);
-    for i in 0..cells {
-        let (fetch, mix, seed) = spec(i);
-        let key = keys
-            .iter()
-            .position(|&k| k == (mix, seed))
-            .expect("key collected");
-        let (images, ckpt) = &warmed[key];
-        let cfg = smt_experiments::warmup::canonical_config_for(images, seed, partition)
-            .with_fetch(smt_core::fetch_policy_by_name(fetch).expect("shipped policy"));
-        fleet.push(smt_core::FleetCell::forked(cfg, ckpt.clone(), cycles));
-    }
-
-    let workers = smt_stats::sched::resolve_workers(jobs, cells);
-    let start = Instant::now();
-    let reports = fleet.run();
-    let wall = start.elapsed();
-    FleetBench {
-        cells,
-        workers,
-        cycles_per_cell: cycles,
-        warmup_cycles: warmup,
-        warm_keys: keys.len(),
-        total_committed: reports.iter().map(|r| r.total_committed()).sum(),
-        wall,
-    }
-}
-
 /// Uplift of a profile-guided build over this (plain) one
 /// (`smt_bench --pgo-from`): per-reference rate pairs, matched by name.
 /// Lives in the schema-5 `pgo` object, *separate* from the `references`
@@ -583,18 +400,16 @@ pub fn bench_to_json_with_checkpoints(
     references: &[ReferenceResult],
     checkpoints: &[CheckpointBench],
 ) -> Json {
-    bench_to_json_full(references, checkpoints, None, None)
+    bench_to_json_full(references, checkpoints, None)
 }
 
 /// The full `"smt-bench"` document: references, optional `--checkpoint`
-/// measurements, the optional `--fleet` aggregate (the `fleet` object,
-/// schema version 4), and the optional `--pgo-from` uplift (the `pgo`
-/// object, schema version 5). Every optional section is additive —
+/// measurements and the optional `--pgo-from` uplift (the `pgo` object,
+/// schema version 5). Every optional section is additive —
 /// omitting them yields the same document older PRs committed.
 pub fn bench_to_json_full(
     references: &[ReferenceResult],
     checkpoints: &[CheckpointBench],
-    fleet: Option<&FleetBench>,
     pgo: Option<&PgoBench>,
 ) -> Json {
     let headline = references
@@ -625,9 +440,6 @@ pub fn bench_to_json_full(
             "checkpoints",
             Json::object(checkpoints.iter().map(|c| (c.name.as_str(), c.to_json()))),
         ));
-    }
-    if let Some(fleet) = fleet {
-        fields.push(("fleet", fleet.to_json()));
     }
     if let Some(pgo) = pgo {
         fields.push(("pgo", pgo.to_json()));
@@ -664,28 +476,17 @@ pub fn baseline_ips(text: &str) -> Option<f64> {
 /// pre-version-3 documents — which measured only ICOUNT on the standard
 /// mix — the single headline rate is returned under its canonical
 /// `"ICOUNT/standard"` name, so like-for-like guards work across the whole
-/// committed trajectory. A version-4 `fleet` section is reported as the
-/// synthetic [`FLEET_REFERENCE`] entry; pre-fleet baselines simply lack
-/// it, so the guard skips the fleet comparison against them.
+/// committed trajectory.
 pub fn baseline_reference_rates(text: &str) -> Option<Vec<(String, f64)>> {
     let doc = Json::parse(text).ok()?;
     if doc.get("kind").and_then(Json::as_str) != Some("smt-bench") {
         return None;
     }
-    let fleet_rate = doc
-        .get("fleet")
-        .and_then(|f| f.get("aggregate_insts_per_sec"))
-        .and_then(Json::as_f64);
     if let Some(refs) = doc.get("references").and_then(Json::as_object) {
-        let mut out = Vec::new();
-        for (name, entry) in refs {
-            let rate = entry.get("insts_per_sec").and_then(Json::as_f64)?;
-            out.push((name.clone(), rate));
-        }
-        if let Some(rate) = fleet_rate {
-            out.push((FLEET_REFERENCE.to_string(), rate));
-        }
-        return Some(out);
+        return refs
+            .iter()
+            .map(|(name, entry)| Some((name.clone(), entry.get("insts_per_sec")?.as_f64()?)))
+            .collect();
     }
     Some(vec![(
         reference_name("icount", "standard"),
@@ -977,68 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_bench_measures_and_serializes() {
-        // Two warm keys (standard/int8 at seed 42), each seeding an RR
-        // and an ICOUNT cell.
-        let f = bench_fleet(4, 300, 2);
-        assert_eq!(f.cells, 4);
-        assert_eq!(f.warm_keys, 2);
-        assert_eq!(f.workers, 2);
-        assert_eq!(f.cycles_per_cell, 300);
-        assert!(f.total_committed > 0, "fleet cells made no progress");
-        assert!(f.aggregate_ips() > 0.0);
-        assert!(f.to_string().contains("aggregate"));
-
-        let r = run_reference(300);
-        let refs = [reference_of(r, "icount", "standard")];
-        // Additive: without the fleet the document is unchanged …
-        let plain = bench_to_json_full(&refs, &[], None, None).render_pretty();
-        assert!(!plain.contains("\"fleet\""));
-        // … and with it the schema-4 fleet object round-trips.
-        let doc = bench_to_json_full(&refs, &[], Some(&f), None);
-        let back = Json::parse(&doc.render_pretty()).unwrap();
-        assert_eq!(
-            back.get("schema_version").and_then(Json::as_u64),
-            Some(JSON_SCHEMA_VERSION)
-        );
-        let entry = back.get("fleet").expect("fleet object present");
-        assert_eq!(entry.get("cells").and_then(Json::as_u64), Some(4));
-        assert_eq!(
-            entry.get("total_committed").and_then(Json::as_u64),
-            Some(f.total_committed)
-        );
-        assert!(entry
-            .get("aggregate_insts_per_sec")
-            .and_then(Json::as_f64)
-            .is_some_and(|v| v > 0.0));
-    }
-
-    #[test]
-    fn fleet_rate_joins_the_guarded_references() {
-        let r = run_reference(300);
-        let refs = [reference_of(r, "icount", "standard")];
-        let f = FleetBench {
-            cells: 12,
-            workers: 4,
-            cycles_per_cell: 300,
-            warmup_cycles: 30,
-            warm_keys: 6,
-            total_committed: 1_000_000,
-            wall: Duration::from_millis(250),
-        };
-        let text = bench_to_json_full(&refs, &[], Some(&f), None).render_pretty();
-        let rates = baseline_reference_rates(&text).unwrap();
-        assert!(rates
-            .iter()
-            .any(|(n, v)| n == FLEET_REFERENCE && (v - f.aggregate_ips()).abs() < 1e-6));
-        // A document without a fleet section carries no synthetic entry,
-        // so guards against pre-fleet baselines skip the comparison.
-        let plain = bench_to_json_full(&refs, &[], None, None).render_pretty();
-        let rates = baseline_reference_rates(&plain).unwrap();
-        assert!(rates.iter().all(|(n, _)| n != FLEET_REFERENCE));
-    }
-
-    #[test]
     fn pgo_uplift_pairs_like_for_like_and_serializes() {
         let mut plain = run_reference(300);
         plain.wall = Duration::from_millis(20);
@@ -1072,7 +811,7 @@ mod tests {
 
         // Additive: the pgo object round-trips and leaves the guarded
         // reference rates untouched (plain-build numbers).
-        let text = bench_to_json_full(&refs, &[], None, Some(&pgo)).render_pretty();
+        let text = bench_to_json_full(&refs, &[], Some(&pgo)).render_pretty();
         let back = Json::parse(&text).unwrap();
         let entry = back
             .get("pgo")

@@ -86,7 +86,6 @@
 mod ablation;
 pub mod checkpoint;
 mod config;
-pub mod fleet;
 mod pipeline;
 mod policy;
 mod regfile;
@@ -95,7 +94,6 @@ mod report;
 pub use ablation::{Ablation, Ablations};
 pub use checkpoint::CheckpointError;
 pub use config::{SimConfig, WorkloadSpec, MAX_THREADS};
-pub use fleet::{FleetCell, SimFleet};
 pub use pipeline::Simulator;
 pub use policy::{
     fetch_policy_by_name, issue_policy_by_name, rotating_rank, BrCount, BranchFirst,

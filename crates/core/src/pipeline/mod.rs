@@ -561,9 +561,8 @@ impl Simulator {
     /// before its measured window: the configured warmup
     /// ([`SimConfig::with_warmup`]) while nothing has been simulated yet,
     /// `0` once the machine has stepped (including a machine restored from
-    /// a warmed checkpoint). The fleet driver uses this to interleave the
-    /// warmup window with other cells while keeping the cycle sequence —
-    /// and therefore the report — identical to `run`.
+    /// a warmed checkpoint). A caller that steps the machine itself
+    /// crosses into the measured window here to reproduce `run` exactly.
     pub fn pending_warmup_cycles(&self) -> u64 {
         if self.cycle == 0 {
             self.cfg.warmup_cycles

@@ -19,28 +19,27 @@
 //!    term ICOUNT's feedback avoids — visible directly in the
 //!    `lost_frontend_full` bucket shift ([`AblationStudy::gap`]).
 //!
-//! Cells are independent simulations and run in parallel across OS
-//! threads; `smt_exp --study ablation --json out.json` writes the
+//! [`run_ablation_study`] enumerates the matrix and runs it through the
+//! same sweep engine as the issue study: cells run in parallel across OS
+//! threads, a failing cell becomes a [`FailedAblationCell`] in
+//! `failed_cells` instead of aborting the matrix, and the sweep resumes
+//! from a durable `--journal` directory (see [`crate::journal`]).
+//! `smt_exp --study ablation --json out.json` writes the
 //! schema-version-4 document described in the crate docs. Warm-window
 //! cells fork from checkpoints warmed under each cell's own fetch policy
 //! and ablation set — see [`crate::warmup`] for why ablations, unlike the
 //! issue study's policy axes, preclude sharing one warmup across cells.
-//!
-//! Like the issue study, the sweep contains cell faults (a failing cell
-//! becomes a [`FailedAblationCell`] in `failed_cells` instead of aborting
-//! the matrix) and resumes from a durable `--journal` directory (see
-//! [`crate::journal`]).
 
 use std::fmt;
 
-use smt_core::checkpoint::config_fingerprint;
 use smt_core::{fetch_policy_by_name, Ablation, Ablations, FetchPartition, SimConfig, SimReport};
 use smt_stats::json::Json;
 use smt_stats::TextTable;
 
-use crate::fault::{CellError, Degradation, DegradeReason};
-use crate::journal::{journal_key, Journal};
-use crate::study::{validate_mix, JSON_SCHEMA_VERSION};
+use crate::fault::{CellError, Degradation};
+use crate::study::{validate_mix, MixImages, JSON_SCHEMA_VERSION};
+use crate::sweep::{CellSpec, Sweep, WarmSpec};
+use crate::warmup::{key_stem, WarmGauge};
 
 /// The paper's claim the wrong-path exemption quantifies: wrong-path
 /// instruction fetching costs on the order of 2% of throughput.
@@ -260,8 +259,9 @@ pub struct AblationStudy {
     pub failed: Vec<FailedAblationCell>,
     /// Degraded-but-recovered incidents (journal entries that could not
     /// be read or written, warmup-cache misses that fell back to
-    /// recomputation), in deterministic order: journal-read incidents in
-    /// spec order first, then the cells' own incidents in spec order.
+    /// recomputation), in deterministic order: journal-read incidents
+    /// first, then warmup-cache incidents, then journal-write incidents,
+    /// each in spec order.
     pub degraded: Vec<Degradation>,
     /// Warmup simulations actually executed for the warm windows: one per
     /// warm cell on a cold cache, fewer (down to zero) when a checkpoint
@@ -295,250 +295,96 @@ pub struct AblationStudy {
 pub fn run_ablation_study(cfg: &AblationStudyConfig) -> Result<AblationStudy, String> {
     cfg.validate()?;
 
-    let images = crate::study::generate_images(&cfg.mixes, &cfg.seeds);
-
-    struct Spec<'a> {
-        ablation: Option<Ablation>,
-        fetch: &'a str,
-        partition: FetchPartition,
-        mix: &'a str,
-        seed: u64,
-        window: Window,
-    }
     let mut ablation_axis: Vec<Option<Ablation>> = vec![None];
     ablation_axis.extend(
         cfg.ablations
             .iter()
             .map(|a| Some(Ablation::by_name(a).expect("validated above"))),
     );
+    // Each warm cell warms under its OWN fetch policy and ablation set —
+    // an ablation changes the machine itself, so warming it any other way
+    // would contaminate the attribution numbers (the warmed state of a
+    // perfect-I-cache machine is not the warmed state of the baseline).
+    // Every warm key therefore has exactly one cell; the sharing win is
+    // across repeat sweeps, via the `--checkpoint-dir` cache. Cold cells
+    // never warm.
     let mut specs = Vec::with_capacity(cfg.cell_count());
+    let mut coords = Vec::with_capacity(cfg.cell_count());
     for mix in &cfg.mixes {
         for &seed in &cfg.seeds {
             for &partition in &cfg.partitions {
                 for fetch in &cfg.fetch_policies {
                     for &window in &Window::ALL {
                         for &ablation in &ablation_axis {
-                            specs.push(Spec {
-                                ablation,
-                                fetch,
-                                partition,
+                            let name = ablation.map_or("baseline", |a| a.name());
+                            let build = move |images: &MixImages| {
+                                images
+                                    .apply(SimConfig::new())
+                                    .with_seed(seed)
+                                    .with_fetch(fetch_policy_by_name(fetch).expect("validated"))
+                                    .with_partition(partition)
+                                    .with_ablations(
+                                        ablation.map_or(Ablations::none(), Ablations::only),
+                                    )
+                            };
+                            let warm = (window == Window::Warm).then(|| WarmSpec {
+                                key: specs.len(),
+                                stem: format!(
+                                    "{}-f{fetch}-a{name}",
+                                    key_stem(mix, seed, partition)
+                                ),
+                                build: Box::new(build),
+                            });
+                            specs.push(CellSpec {
+                                label: format!("{name}/{fetch}/{window}/{partition}/{mix}/s{seed}"),
                                 mix,
                                 seed,
-                                window,
+                                partition,
+                                key_parts: vec!["ablation-study", fetch, window.name(), name],
+                                build: Box::new(build),
+                                warm,
                             });
+                            coords.push((ablation, fetch, window));
                         }
                     }
                 }
             }
         }
     }
-
-    let cell_label = |spec: &Spec| {
-        format!(
-            "{}/{}/{}/{}/{}/s{}",
-            spec.ablation.map_or("baseline", |a| a.name()),
-            spec.fetch,
-            spec.window,
-            spec.partition,
-            spec.mix,
-            spec.seed
-        )
+    let sweep = Sweep {
+        mixes: &cfg.mixes,
+        seeds: &cfg.seeds,
+        cycles: cfg.cycles,
+        warmup: cfg.warmup,
+        jobs: cfg.jobs,
+        share_warmup: cfg.share_warmup,
+        checkpoint_dir: cfg.checkpoint_dir.as_deref(),
+        journal: cfg.journal.as_deref(),
     };
+    let outcome = crate::sweep::run(&sweep, &specs, &WarmGauge::default())?;
 
-    // The durable journal and per-(mix, seed, partition) fingerprints —
-    // an ablation or fetch policy changes the machine's behaviour, not
-    // its fingerprinted geometry, so the fork axes live in the key's
-    // string parts instead (see `journal_key`).
-    let journal = match &cfg.journal {
-        Some(dir) => Some(
-            Journal::open(dir)
-                .map_err(|e| format!("cannot open journal {}: {e}", dir.display()))?,
-        ),
-        None => None,
-    };
-    let mut fingerprints: std::collections::HashMap<(String, u64, FetchPartition), u64> =
-        std::collections::HashMap::new();
-    if journal.is_some() {
-        for mix in &cfg.mixes {
-            for &seed in &cfg.seeds {
-                if let Ok(imgs) = &images[&(mix.clone(), seed)] {
-                    for &partition in &cfg.partitions {
-                        fingerprints.insert(
-                            (mix.clone(), seed, partition),
-                            config_fingerprint(&crate::warmup::canonical_config_for(
-                                imgs, seed, partition,
-                            )),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    let cell_key = |spec: &Spec| -> Option<u64> {
-        let fp = fingerprints.get(&(spec.mix.to_string(), spec.seed, spec.partition))?;
-        Some(journal_key(
-            *fp,
-            &[
-                "ablation-study",
-                spec.fetch,
-                spec.window.name(),
-                spec.ablation.map_or("baseline", |a| a.name()),
-            ],
-            &[cfg.cycles, cfg.warmup],
-        ))
-    };
-
-    // Journal prescan (see `run_study` — same resume contract).
-    let mut journaled: Vec<Option<SimReport>> = (0..specs.len()).map(|_| None).collect();
-    let mut degraded: Vec<Degradation> = Vec::new();
-    if let Some(journal) = &journal {
-        for (i, spec) in specs.iter().enumerate() {
-            let Some(key) = cell_key(spec) else { continue };
-            match journal.load(key, i as u64) {
-                Ok(found) => journaled[i] = found,
-                Err(detail) => degraded.push(Degradation {
-                    key: cell_label(spec),
-                    reason: DegradeReason::JournalRead,
-                    detail: format!("{detail}; cell re-run"),
-                }),
-            }
-        }
-    }
-
-    // Each warm cell forks from a checkpoint warmed under the cell's OWN
-    // fetch policy and ablation set — an ablation changes the machine
-    // itself, so warming it any other way would contaminate the
-    // attribution numbers (the warmed state of a perfect-I-cache machine
-    // is not the warmed state of the baseline). Within one run every warm
-    // cell's key is therefore unique; the sharing win is across repeat
-    // sweeps, via the `--checkpoint-dir` cache. Cold cells never warm.
-    // Every cell is isolated behind `catch_unwind` at the scheduler
-    // boundary, so one cell's fault never takes down the matrix.
-    struct Done {
-        cell: AblationCell,
-        from_journal: bool,
-        warmed: bool,
-        degradations: Vec<Degradation>,
-    }
-    let outcomes = smt_stats::sched::work_steal_map_catch(specs.len(), cfg.jobs, |i| {
-        let spec = &specs[i];
-        #[cfg(feature = "fault-inject")]
-        smt_stats::faults::panic_point("cell", i as u64);
-        let mix_images = match &images[&(spec.mix.to_string(), spec.seed)] {
-            Ok(imgs) => imgs,
-            Err(e) => return Err(CellError::workload(e.clone())),
-        };
-        if let Some(report) = &journaled[i] {
-            return Ok(Done {
-                cell: AblationCell {
-                    ablation: spec.ablation.map(|a| a.name().to_string()),
-                    fetch: report.fetch_policy.clone(),
-                    partition: spec.partition,
-                    mix: spec.mix.to_string(),
-                    seed: spec.seed,
-                    window: spec.window,
-                    report: report.clone(),
-                },
-                from_journal: true,
-                warmed: false,
-                degradations: Vec::new(),
-            });
-        }
-        let ablations = match spec.ablation {
-            Some(a) => Ablations::only(a),
-            None => Ablations::none(),
-        };
-        let build = || {
-            mix_images
-                .apply(SimConfig::new())
-                .with_seed(spec.seed)
-                .with_fetch(fetch_policy_by_name(spec.fetch).expect("validated"))
-                .with_partition(spec.partition)
-                .with_ablations(ablations)
-        };
-        let mut degradations = Vec::new();
-        let (report, warmed) = match spec.window {
-            Window::Cold => (build().build().run(cfg.cycles), false),
-            Window::Warm => {
-                let (checkpoint, computed) = if cfg.share_warmup {
-                    let stem = format!(
-                        "warm-{}-s{}-p{}.{}-f{}-a{}",
-                        crate::warmup::sanitize_stem(spec.mix),
-                        spec.seed,
-                        spec.partition.threads_per_cycle,
-                        spec.partition.insts_per_thread,
-                        spec.fetch,
-                        spec.ablation.map_or("baseline", |a| a.name()),
-                    );
-                    let warm = crate::warmup::warm_checkpoint_under(
-                        build,
-                        &stem,
-                        cfg.warmup,
-                        cfg.checkpoint_dir.as_deref(),
-                    );
-                    degradations.extend(warm.degradations);
-                    (warm.checkpoint, warm.computed)
-                } else {
-                    let bytes = crate::warmup::compute_checkpoint_under(build(), cfg.warmup);
-                    (std::sync::Arc::new(bytes), true)
-                };
-                let report = crate::warmup::try_fork_cell(build(), &checkpoint, cfg.cycles)
-                    .map_err(|e| CellError::checkpoint(e.to_string()))?;
-                (report, computed)
-            }
-        };
-        if let (Some(journal), Some(key)) = (&journal, cell_key(spec)) {
-            if let Err(e) = journal.store(key, i as u64, &report) {
-                degradations.push(Degradation {
-                    key: cell_label(spec),
-                    reason: DegradeReason::JournalWrite,
-                    detail: format!("store failed: {e}; result not durable"),
-                });
-            }
-        }
-        Ok(Done {
-            cell: AblationCell {
-                ablation: spec.ablation.map(|a| a.name().to_string()),
+    let mut cells = Vec::new();
+    let mut failed = Vec::new();
+    for ((spec, (ablation, fetch, window)), result) in specs.iter().zip(coords).zip(outcome.results)
+    {
+        let ablation = ablation.map(|a| a.name().to_string());
+        match result {
+            Ok(report) => cells.push(AblationCell {
+                ablation,
                 fetch: report.fetch_policy.clone(),
                 partition: spec.partition,
                 mix: spec.mix.to_string(),
                 seed: spec.seed,
-                window: spec.window,
+                window,
                 report,
-            },
-            from_journal: false,
-            warmed,
-            degradations,
-        })
-    });
-
-    let mut cells = Vec::new();
-    let mut failed = Vec::new();
-    let mut warmups_performed = 0;
-    let mut journal_loaded = 0;
-    for (spec, outcome) in specs.iter().zip(outcomes) {
-        let flat = match outcome {
-            Ok(inner) => inner,
-            Err(panic_msg) => Err(CellError::panic(panic_msg)),
-        };
-        match flat {
-            Ok(done) => {
-                if done.from_journal {
-                    journal_loaded += 1;
-                }
-                if done.warmed {
-                    warmups_performed += 1;
-                }
-                degraded.extend(done.degradations);
-                cells.push(done.cell);
-            }
+            }),
             Err(error) => failed.push(FailedAblationCell {
-                ablation: spec.ablation.map(|a| a.name().to_string()),
-                fetch: crate::study::canonical_fetch_name(spec.fetch),
+                ablation,
+                fetch: crate::study::canonical_fetch_name(fetch),
                 partition: spec.partition,
                 mix: spec.mix.to_string(),
                 seed: spec.seed,
-                window: spec.window,
+                window,
                 error,
             }),
         }
@@ -547,9 +393,9 @@ pub fn run_ablation_study(cfg: &AblationStudyConfig) -> Result<AblationStudy, St
         config: cfg.clone(),
         cells,
         failed,
-        degraded,
-        warmups_performed,
-        journal_loaded,
+        degraded: outcome.degraded,
+        warmups_performed: outcome.warmups_performed,
+        journal_loaded: outcome.journal_loaded,
     })
 }
 

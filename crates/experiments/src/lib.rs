@@ -17,6 +17,13 @@
 //!
 //! The `smt_exp` binary is a thin CLI over all three ([`parse_cli`]).
 //!
+//! Both studies are spec enumerators over one crate-private sweep engine:
+//! each lists its cells (coordinates, journal key parts, a configuration
+//! builder and, for a warm cell, the key it is warmed under), and the
+//! engine owns everything else — workload images, the journal and its
+//! resume prescan, streamed warmups, fault containment and the
+//! degradation record — so the two studies cannot drift apart.
+//!
 //! Both studies measure behind a warmup window and fork their warm cells
 //! off `smt-core` checkpoints ([`warmup`]). The issue study's warmup
 //! trajectory depends only on the machine and workload identity — not on
@@ -28,8 +35,8 @@
 //! holds about two checkpoints per worker however many keys it has —
 //! sweep memory is O(jobs), not O(keys). The ablation study's warm cells
 //! warm under their own fetch policy and ablation set (an ablation
-//! changes the machine being warmed), deduplicated across repeat sweeps
-//! by the cache instead.
+//! changes the machine being warmed), so each of its warm keys is one
+//! cell, deduplicated across repeat sweeps by the cache instead.
 //! `--cold-warmup` disables checkpoint reuse (byte-identical results, one
 //! warmup per cell), `--checkpoint-dir` caches the checkpoints on disk
 //! across invocations, and the `checkpoint-write` / `checkpoint-verify`
@@ -188,7 +195,7 @@
 //!
 //! # Operational robustness
 //!
-//! A sweep is a long-running fleet of independent cells, and the harness
+//! A sweep is a long-running batch of independent cells, and the harness
 //! treats it that way ([`fault`], [`journal`]):
 //!
 //! * **Per-cell fault isolation.** Every cell runs behind `catch_unwind`
@@ -228,6 +235,7 @@ pub(crate) mod durable;
 pub mod fault;
 pub mod journal;
 pub mod study;
+mod sweep;
 pub mod warmup;
 
 use std::sync::Arc;

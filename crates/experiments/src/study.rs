@@ -15,7 +15,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use smt_core::checkpoint::config_fingerprint;
 use smt_core::{
     fetch_policy_by_name, issue_policy_by_name, FetchPartition, SimConfig, SimReport, WorkloadSpec,
     MAX_THREADS,
@@ -24,9 +23,9 @@ use smt_stats::json::Json;
 use smt_stats::TextTable;
 use smt_workload::{standard_mix, Benchmark, Program, RiscvImage, TraceImage};
 
-use crate::fault::{CellError, Degradation, DegradeReason};
-use crate::journal::{journal_key, Journal};
-use crate::warmup::{WarmGauge, WarmStream};
+use crate::fault::{CellError, Degradation};
+use crate::sweep::{CellSpec, Sweep, WarmSpec};
+use crate::warmup::{canonical_config_for, key_stem, WarmGauge};
 
 /// Version of the JSON documents emitted by [`Study::to_json`],
 /// [`crate::ablation::AblationStudy::to_json`] and `smt_exp --json`. Bump
@@ -471,243 +470,72 @@ pub fn run_study(cfg: &StudyConfig) -> Result<Study, String> {
 pub(crate) fn run_study_gauged(cfg: &StudyConfig, gauge: &WarmGauge) -> Result<Study, String> {
     cfg.validate()?;
 
-    let images = generate_images(&cfg.mixes, &cfg.seeds);
-
-    // The work list: one spec per cell, in deterministic order.
-    struct Spec<'a> {
-        fetch: &'a str,
-        issue: &'a str,
-        partition: FetchPartition,
-        mix: &'a str,
-        seed: u64,
-    }
+    // One spec per cell, key-major: every (mix, seed, partition) key is
+    // warmed once under the canonical configuration and forked across its
+    // fetch × issue cells.
     let mut specs = Vec::with_capacity(cfg.cell_count());
+    let mut policies = Vec::with_capacity(cfg.cell_count());
     for mix in &cfg.mixes {
         for &seed in &cfg.seeds {
             for &partition in &cfg.partitions {
+                let key = specs.len();
                 for fetch in &cfg.fetch_policies {
                     for issue in &cfg.issue_policies {
-                        specs.push(Spec {
-                            fetch,
-                            issue,
-                            partition,
+                        specs.push(CellSpec {
+                            label: format!("{fetch}/{issue}/{partition}/{mix}/s{seed}"),
                             mix,
                             seed,
+                            partition,
+                            key_parts: vec!["issue-study", fetch, issue],
+                            build: Box::new(move |images: &MixImages| {
+                                images
+                                    .apply(SimConfig::new())
+                                    .with_seed(seed)
+                                    .with_fetch(fetch_policy_by_name(fetch).expect("validated"))
+                                    .with_issue(issue_policy_by_name(issue).expect("validated"))
+                                    .with_partition(partition)
+                            }),
+                            warm: Some(WarmSpec {
+                                key,
+                                stem: key_stem(mix, seed, partition),
+                                build: Box::new(move |images: &MixImages| {
+                                    canonical_config_for(images, seed, partition)
+                                }),
+                            }),
                         });
+                        policies.push((fetch, issue));
                     }
                 }
             }
         }
     }
-    let cell_label = |spec: &Spec| {
-        format!(
-            "{}/{}/{}/{}/s{}",
-            spec.fetch, spec.issue, spec.partition, spec.mix, spec.seed
-        )
+    let sweep = Sweep {
+        mixes: &cfg.mixes,
+        seeds: &cfg.seeds,
+        cycles: cfg.cycles,
+        warmup: cfg.warmup,
+        jobs: cfg.jobs,
+        share_warmup: cfg.share_warmup,
+        checkpoint_dir: cfg.checkpoint_dir.as_deref(),
+        journal: cfg.journal.as_deref(),
     };
+    let outcome = crate::sweep::run(&sweep, &specs, gauge)?;
 
-    // The durable journal, when asked for. Each cell's 64-bit identity
-    // folds the canonical machine/workload fingerprint of its (mix, seed,
-    // partition) key with the fork axes and cycle counts, so entries are
-    // only ever resumed into a sweep that would reproduce them exactly.
-    let journal = match &cfg.journal {
-        Some(dir) => Some(
-            Journal::open(dir)
-                .map_err(|e| format!("cannot open journal {}: {e}", dir.display()))?,
-        ),
-        None => None,
-    };
-    let mut fingerprints: HashMap<(String, u64, FetchPartition), u64> = HashMap::new();
-    if journal.is_some() {
-        for mix in &cfg.mixes {
-            for &seed in &cfg.seeds {
-                if let Ok(imgs) = &images[&(mix.clone(), seed)] {
-                    for &partition in &cfg.partitions {
-                        fingerprints.insert(
-                            (mix.clone(), seed, partition),
-                            config_fingerprint(&crate::warmup::canonical_config_for(
-                                imgs, seed, partition,
-                            )),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    let cell_key = |spec: &Spec| -> Option<u64> {
-        let fp = fingerprints.get(&(spec.mix.to_string(), spec.seed, spec.partition))?;
-        Some(journal_key(
-            *fp,
-            &["issue-study", spec.fetch, spec.issue],
-            &[cfg.cycles, cfg.warmup],
-        ))
-    };
-
-    // Journal prescan: resume every valid completed entry; an invalid one
-    // degrades (and the cell re-runs). Failed cells are never journaled —
-    // deterministic failures re-fail on resume, keeping the resumed
-    // document byte-identical to an uninterrupted run.
-    let mut journaled: Vec<Option<SimReport>> = (0..specs.len()).map(|_| None).collect();
-    let mut degraded: Vec<Degradation> = Vec::new();
-    if let Some(journal) = &journal {
-        for (i, spec) in specs.iter().enumerate() {
-            let Some(key) = cell_key(spec) else { continue };
-            match journal.load(key, i as u64) {
-                Ok(found) => journaled[i] = found,
-                Err(detail) => degraded.push(Degradation {
-                    key: cell_label(spec),
-                    reason: DegradeReason::JournalRead,
-                    detail: format!("{detail}; cell re-run"),
-                }),
-            }
-        }
-    }
-
-    // Shared warmups are streamed through the cell phase: each unique
-    // (mix, seed, partition) still needed by a non-journaled cell gets one
-    // slot, warmed by the first cell that needs it and freed after its
-    // last, so sweep memory grows with the worker count rather than the
-    // key count (see `WarmStream`). The cold path recomputes the identical
-    // canonical warmup per cell instead, so both paths yield
-    // byte-identical cells. A warmup that panics poisons exactly the cells
-    // that depend on its key.
-    let mut warm_slot: Vec<Option<usize>> = vec![None; specs.len()];
-    let mut pending: Vec<usize> = Vec::new();
-    if cfg.share_warmup {
-        let mut slot_of: HashMap<(&str, u64, FetchPartition), usize> = HashMap::new();
-        for (i, spec) in specs.iter().enumerate() {
-            if journaled[i].is_some() || images[&(spec.mix.to_string(), spec.seed)].is_err() {
-                continue;
-            }
-            let slot = *slot_of
-                .entry((spec.mix, spec.seed, spec.partition))
-                .or_insert_with(|| {
-                    pending.push(0);
-                    pending.len() - 1
-                });
-            pending[slot] += 1;
-            warm_slot[i] = Some(slot);
-        }
-    }
-    let stream = cfg.share_warmup.then(|| WarmStream::new(pending, gauge));
-
-    // The cell phase, each cell isolated behind `catch_unwind` at the
-    // scheduler boundary: one cell's fault becomes its own failure record
-    // while every other cell's result stays byte-identical.
-    struct Done {
-        cell: StudyCell,
-        from_journal: bool,
-        warmed_cold: bool,
-        degradation: Option<Degradation>,
-    }
-    let outcomes = smt_stats::sched::work_steal_map_catch(specs.len(), cfg.jobs, |i| {
-        let spec = &specs[i];
-        let _hold = stream
-            .as_ref()
-            .zip(warm_slot[i])
-            .map(|(s, slot)| s.hold(slot));
-        #[cfg(feature = "fault-inject")]
-        smt_stats::faults::panic_point("cell", i as u64);
-        let mix_images = match &images[&(spec.mix.to_string(), spec.seed)] {
-            Ok(imgs) => imgs,
-            Err(e) => return Err(CellError::workload(e.clone())),
-        };
-        if let Some(report) = &journaled[i] {
-            return Ok(Done {
-                cell: StudyCell {
-                    fetch: report.fetch_policy.clone(),
-                    issue: report.issue_policy.clone(),
-                    partition: spec.partition,
-                    mix: spec.mix.to_string(),
-                    seed: spec.seed,
-                    report: report.clone(),
-                },
-                from_journal: true,
-                warmed_cold: false,
-                degradation: None,
-            });
-        }
-        let mut warmed_cold = false;
-        let checkpoint = match stream.as_ref().zip(warm_slot[i]) {
-            Some((stream, slot)) => stream.checkpoint(slot, || {
-                crate::warmup::warm_checkpoint(
-                    mix_images,
-                    spec.mix,
-                    spec.seed,
-                    spec.partition,
-                    cfg.warmup,
-                    cfg.checkpoint_dir.as_deref(),
-                )
-            })?,
-            None => {
-                warmed_cold = true;
-                Arc::new(crate::warmup::compute_checkpoint(
-                    mix_images,
-                    spec.seed,
-                    spec.partition,
-                    cfg.warmup,
-                ))
-            }
-        };
-        let cell_cfg = mix_images
-            .apply(SimConfig::new())
-            .with_seed(spec.seed)
-            .with_fetch(fetch_policy_by_name(spec.fetch).expect("validated"))
-            .with_issue(issue_policy_by_name(spec.issue).expect("validated"))
-            .with_partition(spec.partition);
-        let report = crate::warmup::try_fork_cell(cell_cfg, &checkpoint, cfg.cycles)
-            .map_err(|e| CellError::checkpoint(e.to_string()))?;
-        let mut degradation = None;
-        if let (Some(journal), Some(key)) = (&journal, cell_key(spec)) {
-            if let Err(e) = journal.store(key, i as u64, &report) {
-                degradation = Some(Degradation {
-                    key: cell_label(spec),
-                    reason: DegradeReason::JournalWrite,
-                    detail: format!("store failed: {e}; result not durable"),
-                });
-            }
-        }
-        Ok(Done {
-            cell: StudyCell {
+    let mut cells = Vec::new();
+    let mut failed = Vec::new();
+    for ((spec, (fetch, issue)), result) in specs.iter().zip(policies).zip(outcome.results) {
+        match result {
+            Ok(report) => cells.push(StudyCell {
                 fetch: report.fetch_policy.clone(),
                 issue: report.issue_policy.clone(),
                 partition: spec.partition,
                 mix: spec.mix.to_string(),
                 seed: spec.seed,
                 report,
-            },
-            from_journal: false,
-            warmed_cold,
-            degradation,
-        })
-    });
-
-    let mut cells = Vec::new();
-    let mut failed = Vec::new();
-    let mut store_degradations = Vec::new();
-    let mut journal_loaded = 0;
-    let mut cold_warmups = 0;
-    for (spec, outcome) in specs.iter().zip(outcomes) {
-        // Flatten the scheduler's catch layer (an escaped panic) into the
-        // cell's own typed result.
-        let flat = match outcome {
-            Ok(inner) => inner,
-            Err(panic_msg) => Err(CellError::panic(panic_msg)),
-        };
-        match flat {
-            Ok(done) => {
-                if done.from_journal {
-                    journal_loaded += 1;
-                }
-                if done.warmed_cold {
-                    cold_warmups += 1;
-                }
-                store_degradations.extend(done.degradation);
-                cells.push(done.cell);
-            }
+            }),
             Err(error) => failed.push(FailedStudyCell {
-                fetch: canonical_fetch_name(spec.fetch),
-                issue: canonical_issue_name(spec.issue),
+                fetch: canonical_fetch_name(fetch),
+                issue: canonical_issue_name(issue),
                 partition: spec.partition,
                 mix: spec.mix.to_string(),
                 seed: spec.seed,
@@ -715,22 +543,13 @@ pub(crate) fn run_study_gauged(cfg: &StudyConfig, gauge: &WarmGauge) -> Result<S
             }),
         }
     }
-    let warmups_performed = match stream {
-        Some(stream) => {
-            let (computed, warm_degradations) = stream.finish();
-            degraded.extend(warm_degradations);
-            computed
-        }
-        None => cold_warmups,
-    };
-    degraded.extend(store_degradations);
     Ok(Study {
         config: cfg.clone(),
         cells,
         failed,
-        degraded,
-        warmups_performed,
-        journal_loaded,
+        degraded: outcome.degraded,
+        warmups_performed: outcome.warmups_performed,
+        journal_loaded: outcome.journal_loaded,
     })
 }
 
@@ -965,7 +784,9 @@ fn spread(means: &[(String, f64)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::CellErrorKind;
+    use crate::fault::{CellErrorKind, DegradeReason};
+    use crate::journal::{journal_key, Journal};
+    use smt_core::checkpoint::config_fingerprint;
     use std::sync::atomic::Ordering;
 
     fn tiny_study() -> StudyConfig {

@@ -7,16 +7,16 @@
 //! fetch, OLDEST_FIRST issue, no ablations — and the resulting
 //! [`Simulator::save_checkpoint`] bytes are forked across the whole
 //! fetch × issue cross-product (policies only steer the measured window;
-//! they do not define the machine being warmed). The checkpoints stream
-//! through the sweep (`WarmStream`): a key is warmed by the first cell
-//! that needs it and freed after its last, so the sweep holds about two
-//! checkpoints per worker rather than one per key. The **ablation study**
+//! they do not define the machine being warmed). The **ablation study**
 //! cannot share that way — an ablation changes the machine itself, so a
 //! warm cell must warm under its own fetch policy and ablation set to
-//! keep the attribution numbers meaningful — and instead forks each warm
-//! cell from a checkpoint warmed under the cell's own configuration
-//! ([`warm_checkpoint_under`]), which the `--checkpoint-dir` cache dedups
-//! across repeat sweeps.
+//! keep the attribution numbers meaningful — so each of its warm keys is
+//! one cell, warmed under that cell's own configuration
+//! ([`warm_checkpoint_under`]) and deduplicated across repeat sweeps by
+//! the `--checkpoint-dir` cache. Both studies stream their keys through
+//! the sweep engine's `WarmStream` slots: a key is warmed by the first
+//! cell that needs it and freed after its last, so a sweep holds about
+//! two checkpoints per worker rather than one per key.
 //!
 //! Two properties make the sharing observable-behaviour-free:
 //!
@@ -155,17 +155,23 @@ pub fn warm_checkpoint(
     warmup: u64,
     dir: Option<&Path>,
 ) -> WarmOutcome {
-    let stem = format!(
+    warm_checkpoint_under(
+        || canonical_config_for(images, seed, partition),
+        &key_stem(mix, seed, partition),
+        warmup,
+        dir,
+    )
+}
+
+/// The `--checkpoint-dir` file stem of a canonical (mix, seed, partition)
+/// warmup key; a sweep whose warmups also depend on fork axes appends
+/// them.
+pub(crate) fn key_stem(mix: &str, seed: u64, partition: FetchPartition) -> String {
+    format!(
         "warm-{}-s{seed}-p{}.{}",
         sanitize_stem(mix),
         partition.threads_per_cycle,
         partition.insts_per_thread
-    );
-    warm_checkpoint_under(
-        || canonical_config_for(images, seed, partition),
-        &stem,
-        warmup,
-        dir,
     )
 }
 
@@ -267,8 +273,7 @@ pub(crate) struct WarmGauge {
     pub(crate) peak: AtomicUsize,
 }
 
-/// The issue study's per-key checkpoint table, streamed through the
-/// sweep: a key is warmed by the first cell that needs it and freed after
+/// A sweep's per-key checkpoint table, streamed through the cells: a key is warmed by the first cell that needs it and freed after
 /// its last cell, so only the keys in flight hold their ~380 KB of bytes.
 /// Specs are enumerated key-major and the scheduler hands out contiguous
 /// claims, so at most about two keys per worker are alive at once (the

@@ -20,6 +20,7 @@
 use std::sync::Mutex;
 
 use smt_core::FetchPartition;
+use smt_experiments::ablation::{run_ablation_study, AblationStudyConfig, Window};
 use smt_experiments::fault::{CellErrorKind, DegradeReason};
 use smt_experiments::study::{run_study, Study, StudyConfig};
 use smt_stats::faults::{arm, clear, remaining_shots, FaultKind};
@@ -154,6 +155,52 @@ fn a_panicking_warmup_fails_exactly_the_cells_of_its_key() {
         let again = run_study(&tiny(jobs)).unwrap();
         assert!(again.failed.is_empty(), "jobs={jobs}");
         assert_eq!(again.to_json().render_pretty(), doc, "jobs={jobs}");
+    }
+
+    // The ablation study warms each warm cell under its own configuration,
+    // so each of its warm keys has exactly one cell. Specs run fetch-major,
+    // then cold before warm, baseline before the ablation: warm key 1 is
+    // RR's perfect_icache warm cell (spec 3), and no cold cell has a key.
+    let cfg = |jobs| AblationStudyConfig {
+        fetch_policies: vec!["rr".into(), "icount".into()],
+        ablations: vec!["perfect_icache".into()],
+        partitions: vec![FetchPartition::new(2, 8)],
+        mixes: vec!["mixed4".into()],
+        seeds: vec![42],
+        cycles: 400,
+        warmup: 200,
+        jobs,
+        ..AblationStudyConfig::default()
+    };
+    let reference = run_ablation_study(&cfg(1)).unwrap();
+    for jobs in [1, 2, 8] {
+        arm("warmup", Some(1), FaultKind::Panic, 1);
+        let study = quiet(|| run_ablation_study(&cfg(jobs))).unwrap();
+        assert_eq!(remaining_shots(), 0, "jobs={jobs}: the armed fault fires");
+        clear();
+        assert_eq!(study.failed.len(), 1, "jobs={jobs}");
+        let f = &study.failed[0];
+        assert_eq!(
+            (f.ablation.as_deref(), f.fetch.as_str(), f.window),
+            (Some("perfect_icache"), "RR", Window::Warm),
+            "jobs={jobs}"
+        );
+        assert_eq!(f.error.kind, CellErrorKind::Panic);
+        assert_eq!(
+            f.error.message, "warmup panicked: injected panic at warmup#1",
+            "jobs={jobs}"
+        );
+        assert_eq!(study.warmups_performed, 3, "jobs={jobs}");
+        assert_eq!(study.cells.len(), reference.cells.len() - 1);
+        let mut healthy = study.cells.iter();
+        for r in &reference.cells {
+            if (r.ablation.as_deref(), r.fetch.as_str(), r.window)
+                == (f.ablation.as_deref(), f.fetch.as_str(), f.window)
+            {
+                continue;
+            }
+            assert_eq!(healthy.next().unwrap().report, r.report, "jobs={jobs}");
+        }
     }
 }
 
@@ -319,7 +366,6 @@ fn checkpoint_cache_faults_fall_back_to_recomputation() {
 fn ablation_sweep_contains_injected_panics_too() {
     let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     clear();
-    use smt_experiments::ablation::{run_ablation_study, AblationStudyConfig};
     let cfg = AblationStudyConfig {
         fetch_policies: vec!["rr".into(), "icount".into()],
         ablations: vec!["perfect_icache".into()],

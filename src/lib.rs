@@ -71,10 +71,9 @@
 
 pub use smt_core::{
     fetch_policy_by_name, issue_policy_by_name, Ablation, Ablations, BrCount, BranchFirst,
-    CheckpointError, FetchBreakdown, FetchPartition, FetchPolicy, FleetCell, ICount,
-    IssueBreakdown, IssueCandidate, IssuePolicy, MissCount, OldestFirst, OptLast, RoundRobin,
-    SimConfig, SimFleet, SimReport, Simulator, SpecLast, ThreadFetchView, ThreadReport,
-    WorkloadSpec, MAX_THREADS,
+    CheckpointError, FetchBreakdown, FetchPartition, FetchPolicy, ICount, IssueBreakdown,
+    IssueCandidate, IssuePolicy, MissCount, OldestFirst, OptLast, RoundRobin, SimConfig, SimReport,
+    Simulator, SpecLast, ThreadFetchView, ThreadReport, WorkloadSpec, MAX_THREADS,
 };
 pub use smt_workload::{
     standard_mix, Benchmark, Program, RiscvImage, RiscvSource, ThreadContext, TraceImage,
