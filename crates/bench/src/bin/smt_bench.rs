@@ -12,18 +12,15 @@
 //! guard then skips).
 //!
 //! ```text
-//! smt_bench [CYCLES] [--json PATH] [--reference-only] [--checkpoint]
-//!           [--pgo-from PATH] [--stage-timing]
+//! smt_bench [CYCLES] [--json PATH] [--reference-only]
 //!           [--baseline PATH | --baseline-latest DIR] [--max-regress FRAC]
 //! ```
 //!
-//! `CYCLES` defaults to 200000 simulated cycles per measurement; `--json`
-//! additionally writes the machine-readable `"smt-bench"` document
-//! (per-reference `insts_per_sec` under `references`). `--reference-only` measures just
-//! ICOUNT/standard — the quick local check. `--checkpoint` additionally
-//! measures each reference's warmed-state checkpoint: size in bytes plus
-//! best-of-3 save and restore latency, printed and carried in the JSON
-//! document's `checkpoints` map (additive). `--baseline` reads a previously written document (e.g. the
+//! `CYCLES` defaults to 200000 simulated cycles per measurement and must
+//! be positive; `--json` additionally writes the machine-readable
+//! `"smt-bench"` document (per-reference `insts_per_sec` under
+//! `references`). `--reference-only` measures just ICOUNT/standard — the
+//! quick local check. `--baseline` reads a previously written document (e.g. the
 //! committed `BENCH_*.json` trajectory files) and prints the speedup
 //! factor per reference; `--baseline-latest DIR` auto-picks the
 //! `BENCH_PR<N>.json` in `DIR` with the highest PR number, so the
@@ -34,23 +31,16 @@
 //! do not carry every reference; only names present in both are
 //! guarded.)
 //!
-//! `--pgo-from PATH` reads the document written by a **profile-guided**
-//! build of this same binary (`scripts/pgo.sh build`, then
-//! `target/pgo/release/smt_bench --json ...`) and reports each shared
-//! reference's PGO uplift, carried in this document's additive `pgo`
-//! object (schema 5) — separate from the guarded plain-build rates.
-//!
-//! `--stage-timing` runs the reference machine once and prints each
-//! pipeline stage's wall-clock share and per-stage insts/s instead of the
-//! benchmark matrix. Requires building with `--features stage-timing`
-//! (the probes cost throughput, so they are compiled out of normal
-//! builds and of every number this binary reports elsewhere).
+//! Per-phase shares and checkpoint costs are the repository benchmark's
+//! job: `python3 perfbench/run.py --trace 1` (see `perfbench/README.md`).
 
 use smt_bench::{
-    baseline_reference_rates, bench_checkpoint, bench_to_json_full, find_latest_baseline,
-    pgo_uplift, riscv_reference_spec, CheckpointBench, PgoBench, ReferenceResult,
-    REFERENCE_FETCHES, REFERENCE_MIXES, RISCV_REFERENCE_MIX,
+    baseline_reference_rates, bench_to_json, find_latest_baseline, riscv_reference_spec,
+    ReferenceResult, REFERENCE_FETCHES, REFERENCE_MIXES, RISCV_REFERENCE_MIX,
 };
+
+const USAGE: &str = "usage: smt_bench [CYCLES] [--json PATH] [--reference-only] \
+                     [--baseline PATH | --baseline-latest DIR] [--max-regress FRAC]";
 
 fn main() {
     let mut cycles: u64 = 200_000;
@@ -58,9 +48,6 @@ fn main() {
     let mut baseline_path: Option<String> = None;
     let mut max_regress: Option<f64> = None;
     let mut reference_only = false;
-    let mut checkpoint = false;
-    let mut pgo_from: Option<String> = None;
-    let mut stage_timing = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -69,12 +56,6 @@ fn main() {
                 None => die("--json requires a path"),
             },
             "--reference-only" => reference_only = true,
-            "--checkpoint" => checkpoint = true,
-            "--stage-timing" => stage_timing = true,
-            "--pgo-from" => match args.next() {
-                Some(path) => pgo_from = Some(path),
-                None => die("--pgo-from requires a path"),
-            },
             "--baseline" => match args.next() {
                 Some(path) => match baseline_path {
                     None => baseline_path = Some(path),
@@ -100,12 +81,10 @@ fn main() {
                 _ => die("--max-regress requires a fraction in [0, 1)"),
             },
             _ => match arg.parse() {
+                Ok(0) => die(&format!("{USAGE}   (CYCLES must be positive, got 0)")),
                 Ok(n) => cycles = n,
                 Err(_) => die(&format!(
-                    "usage: smt_bench [CYCLES] [--json PATH] [--reference-only] [--checkpoint] \
-                     [--pgo-from PATH] [--stage-timing] \
-                     [--baseline PATH | --baseline-latest DIR] [--max-regress FRAC]   \
-                     (CYCLES must be a number, got '{arg}')"
+                    "{USAGE}   (unknown option or non-numeric CYCLES '{arg}')"
                 )),
             },
         }
@@ -113,13 +92,8 @@ fn main() {
     if max_regress.is_some() && baseline_path.is_none() {
         die("--max-regress requires --baseline");
     }
-    if stage_timing {
-        run_stage_timing_mode(cycles);
-        return;
-    }
 
     let mut references: Vec<ReferenceResult> = Vec::new();
-    let mut checkpoints: Vec<CheckpointBench> = Vec::new();
     for fetch in REFERENCE_FETCHES {
         for mix in REFERENCE_MIXES {
             if reference_only && (fetch != "icount" || mix != "standard") {
@@ -131,19 +105,6 @@ fn main() {
             }
             println!("{:16} best : {}", r.name, r.best);
             references.push(r);
-            if checkpoint {
-                let c = bench_checkpoint(fetch, mix, cycles, 3);
-                println!(
-                    "{:16} ckpt : {} bytes, save {:.3} ms, restore {:.3} ms \
-                     (warmed {} cycles)",
-                    c.name,
-                    c.bytes,
-                    c.save.as_secs_f64() * 1e3,
-                    c.restore.as_secs_f64() * 1e3,
-                    c.warm_cycles
-                );
-                checkpoints.push(c);
-            }
         }
     }
     if !reference_only {
@@ -170,29 +131,8 @@ fn main() {
         headline.best.ips() / 1e3
     );
 
-    let pgo_result: Option<PgoBench> = pgo_from.map(|path| {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| die(&format!("failed to read PGO document {path}: {e}")));
-        let pgo = pgo_uplift(&text, &references)
-            .unwrap_or_else(|| die(&format!("{path} shares no reference with this run")));
-        for (name, pgo_ips, plain_ips) in &pgo.entries {
-            println!(
-                "pgo {:16} {:.2}x ({:.0} -> {:.0} kinsts/s)",
-                name,
-                pgo_ips / plain_ips,
-                plain_ips / 1e3,
-                pgo_ips / 1e3
-            );
-        }
-        println!(
-            "pgo mean uplift : {:.2}x over the plain build ({path})",
-            pgo.mean_uplift()
-        );
-        pgo
-    });
-
     if let Some(path) = json_path {
-        let doc = bench_to_json_full(&references, &checkpoints, pgo_result.as_ref());
+        let doc = bench_to_json(&references);
         if let Err(e) = std::fs::write(&path, doc.render_pretty()) {
             die(&format!("failed to write {path}: {e}"));
         }
@@ -257,36 +197,6 @@ fn main() {
             }
         }
     }
-}
-
-/// `--stage-timing`: one reference run, per-stage wall clock and insts/s.
-#[cfg(feature = "stage-timing")]
-fn run_stage_timing_mode(cycles: u64) {
-    let (committed, stages) = smt_bench::run_stage_timing(cycles);
-    let total: u64 = stages.iter().map(|s| s.nanos).sum();
-    println!("{cycles} cycles, {committed} committed (reference machine, probes on)");
-    for s in &stages {
-        println!(
-            "{:12} {:8.1} ms  {:5.1}%  {:8.0} kinsts/s through stage",
-            s.name,
-            s.nanos as f64 / 1e6,
-            s.nanos as f64 / total as f64 * 100.0,
-            s.insts_per_sec / 1e3,
-        );
-    }
-    println!(
-        "total        {:8.1} ms  ({:.0} kinsts/s with probes; plain-build rates are higher)",
-        total as f64 / 1e6,
-        committed as f64 / (total as f64 / 1e9) / 1e3,
-    );
-}
-
-#[cfg(not(feature = "stage-timing"))]
-fn run_stage_timing_mode(_cycles: u64) {
-    die(
-        "--stage-timing needs the timing probes compiled in: \
-         cargo run --release -p smt-bench --features stage-timing --bin smt_bench -- --stage-timing",
-    );
 }
 
 fn die(msg: &str) -> ! {

@@ -4,36 +4,32 @@
 //! committed per wall-clock second across the reference matrix
 //! {RR, ICOUNT} × {standard, int8, fp8} on the 2.8 partition, plus the
 //! real-binary [`RISCV_REFERENCE_MIX`] reference (checked-in rv64i ELFs
-//! executed functionally through the `riscv:` workload backend). Later
-//! performance PRs report against these baselines via the `smt_bench`
-//! binary; `smt_bench --json` emits the machine-readable `"smt-bench"`
-//! document (same `schema_version` convention as `smt_exp --json`, with
-//! per-reference rates since version 3 and the optional `pgo` uplift
-//! section since version 5) for
-//! BENCH_*.json trajectory tracking, and the CI guard compares each
-//! reference like for like.
+//! executed functionally through the `riscv:` workload backend). The
+//! `smt_bench` binary is the CI throughput guard: `smt_bench --json` emits
+//! the machine-readable `"smt-bench"` document (same `schema_version`
+//! convention as `smt_exp --json`, with per-reference rates since version
+//! 3) for BENCH_*.json trajectory tracking, and the guard compares each
+//! reference like for like against the newest committed baseline.
 //!
 //! # Profiling the hot loop
 //!
 //! Two complementary tools, both already wired up:
 //!
-//! 1. **Per-phase wall clock** — the `phase-timing` feature in `smt-core`
-//!    accumulates the cycle driver's seven phases (memory begin-cycle,
-//!    miss completions, writeback, commit, issue, rename, fetch) into
-//!    global counters. The front door is this crate's `--stage-timing`
-//!    mode (requires the `stage-timing` feature, which forwards to the
-//!    probes):
+//! 1. **Per-phase wall clock** — the repository benchmark's traced build
+//!    (`perfbench/`, see its README) compiles `smt-core`'s `phase-timing`
+//!    probes, which accumulate the cycle driver's seven phases (memory
+//!    begin-cycle, miss completions, writeback, commit, issue, rename,
+//!    fetch), and reports each phase's share as `core.phase.*_pct`
+//!    alongside the checkpoint costs (`ckpt.save_ms`, `ckpt.restore_ms`,
+//!    `ckpt.bytes`):
 //!
 //!    ```text
-//!    cargo run --release -p smt-bench --features stage-timing -- 100000 --stage-timing
+//!    python3 perfbench/run.py --workload sim-standard --trace 1
 //!    ```
 //!
-//!    which prints each stage's wall clock, share and instructions
-//!    through-rate; the raw counters are also printed by the smt-core
-//!    `phase_timing` example. The probes cost ~15% of throughput (two
-//!    `clock_gettime`s per phase), so the feature is compiled out of
-//!    normal builds; treat the per-phase shares as accurate and the
-//!    absolute total as inflated.
+//!    The probes cost ~15% of throughput (two `clock_gettime`s per phase),
+//!    so they are compiled out of normal builds; treat the per-phase
+//!    shares as accurate and the absolute total as inflated.
 //!
 //! 2. **Sampling profilers** — the release profile ships
 //!    `debug = "line-tables-only"`, so `perf` / flamegraphs attribute the
@@ -61,13 +57,6 @@
 //! is the performance-critical part. A profile showing a *function*
 //! hotspot — a hash probe, an allocator frame, a `memmove` — is a
 //! regression signal, not background noise.
-//!
-//! A third, build-level lever rides on top: the PGO path
-//! (`scripts/pgo.sh`, the `smt-pgo` converter crate) builds `smt_bench`
-//! with `-Cprofile-use` against the committed `pgo/smt_bench.profdata`;
-//! measured uplift lands in the bench document's `pgo` section
-//! (schema 5) via `--pgo-from`, kept separate from the guarded plain
-//! rates so the CI regression guard stays like for like.
 //!
 //! # Examples
 //!
@@ -130,12 +119,12 @@ impl BenchResult {
 }
 
 /// Version of the `"smt-bench"` JSON document. Version 3 added the
-/// multi-reference `references` map; version 4 added a `fleet` object
-/// (since removed with its engine; readers ignore it in old baselines);
-/// version 5 added the optional `pgo` object (`--pgo-from`, the uplift of
-/// a profile-guided build over this one, reported separately so the
-/// guarded reference rates stay plain-build like-for-like).
-/// [`baseline_ips`] and [`baseline_reference_rates`] accept all versions.
+/// multi-reference `references` map. The optional objects added since —
+/// `checkpoints`, version 4's `fleet` and version 5's profile-guided-build
+/// uplift — are no longer written (their mechanisms were removed); every
+/// one was optional, so a current document is still valid at version 5,
+/// and the readers ignore those objects in old baselines. [`baseline_ips`] and [`baseline_reference_rates`] accept all
+/// versions.
 pub const JSON_SCHEMA_VERSION: u64 = 5;
 
 /// Fetch policies the multi-reference benchmark sweeps.
@@ -229,157 +218,6 @@ impl ReferenceResult {
     }
 }
 
-/// Checkpoint micro-benchmark result for one reference configuration:
-/// the warmed machine's checkpoint size plus best-of-N save and restore
-/// latencies (`smt_bench --checkpoint`).
-#[derive(Debug, Clone)]
-pub struct CheckpointBench {
-    /// Canonical reference name ([`reference_name`]).
-    pub name: String,
-    /// Cycles the machine was warmed before checkpointing.
-    pub warm_cycles: u64,
-    /// Serialized checkpoint size in bytes.
-    pub bytes: u64,
-    /// Best wall-clock time to serialize the checkpoint.
-    pub save: Duration,
-    /// Best wall-clock time to restore a simulator from the checkpoint.
-    pub restore: Duration,
-}
-
-impl CheckpointBench {
-    /// This measurement as a JSON object (one entry of the `checkpoints`
-    /// map in the `"smt-bench"` document).
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("warm_cycles", Json::from(self.warm_cycles)),
-            ("checkpoint_bytes", Json::from(self.bytes)),
-            ("save_seconds", Json::from(self.save.as_secs_f64())),
-            ("restore_seconds", Json::from(self.restore.as_secs_f64())),
-        ])
-    }
-}
-
-/// Measures checkpoint size and save/restore latency for one reference
-/// `(fetch, mix)` machine warmed for `cycles` cycles; latencies are the
-/// best of `runs` attempts. The restore is validated to land on the saved
-/// cycle — this doubles as an in-process round-trip check on the reference
-/// machines.
-///
-/// # Panics
-///
-/// Panics if `fetch` is not a known policy, `mix` does not resolve, or
-/// the just-written checkpoint fails to restore (a bug, not an input
-/// error).
-pub fn bench_checkpoint(fetch: &str, mix: &str, cycles: u64, runs: usize) -> CheckpointBench {
-    let images = smt_experiments::study::resolve_mix(mix, 42)
-        .unwrap_or_else(|e| panic!("cannot resolve mix '{mix}': {e}"));
-    let mk_cfg = || {
-        let policy = smt_core::fetch_policy_by_name(fetch)
-            .unwrap_or_else(|| panic!("unknown fetch policy '{fetch}'"));
-        images
-            .apply(SimConfig::new())
-            .with_seed(42)
-            .with_fetch(policy)
-    };
-    let mut sim = mk_cfg().build();
-    for _ in 0..cycles {
-        sim.step_cycle();
-    }
-    let mut bytes = Vec::new();
-    sim.save_checkpoint(&mut bytes)
-        .expect("writing a checkpoint to a Vec cannot fail");
-    let mut save = Duration::MAX;
-    let mut restore = Duration::MAX;
-    for _ in 0..runs.max(1) {
-        let mut buf = Vec::with_capacity(bytes.len());
-        let start = Instant::now();
-        sim.save_checkpoint(&mut buf)
-            .expect("writing a checkpoint to a Vec cannot fail");
-        save = save.min(start.elapsed());
-
-        let cfg = mk_cfg();
-        let start = Instant::now();
-        let restored = smt_core::Simulator::restore_checkpoint(cfg, &mut bytes.as_slice())
-            .expect("a just-written checkpoint must restore");
-        restore = restore.min(start.elapsed());
-        assert_eq!(restored.cycle(), sim.cycle(), "restore landed off-cycle");
-    }
-    CheckpointBench {
-        name: reference_name(fetch, mix),
-        warm_cycles: cycles,
-        bytes: bytes.len() as u64,
-        save,
-        restore,
-    }
-}
-
-/// Uplift of a profile-guided build over this (plain) one
-/// (`smt_bench --pgo-from`): per-reference rate pairs, matched by name.
-/// Lives in the schema-5 `pgo` object, *separate* from the `references`
-/// map — the guarded rates always describe the plain build, so the CI
-/// throughput guard and the committed `BENCH_*.json` trajectory stay
-/// like-for-like whether or not a PGO build was measured alongside.
-#[derive(Debug, Clone)]
-pub struct PgoBench {
-    /// `(reference name, PGO build insts/s, plain build insts/s)` for
-    /// every reference present in both documents.
-    pub entries: Vec<(String, f64, f64)>,
-}
-
-impl PgoBench {
-    /// Geometric-mean uplift factor across the paired references.
-    pub fn mean_uplift(&self) -> f64 {
-        let log_sum: f64 = self
-            .entries
-            .iter()
-            .map(|(_, pgo, plain)| (pgo / plain.max(1e-9)).ln())
-            .sum();
-        (log_sum / self.entries.len().max(1) as f64).exp()
-    }
-
-    /// This measurement as the `pgo` object of the `"smt-bench"` document
-    /// (schema version 5).
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            (
-                "references",
-                Json::object(self.entries.iter().map(|(name, pgo, plain)| {
-                    (
-                        name.as_str(),
-                        Json::object([
-                            ("insts_per_sec", Json::from(*pgo)),
-                            ("plain_insts_per_sec", Json::from(*plain)),
-                            ("uplift", Json::from(pgo / plain.max(1e-9))),
-                        ]),
-                    )
-                })),
-            ),
-            ("mean_uplift", Json::from(self.mean_uplift())),
-        ])
-    }
-}
-
-/// Pairs a PGO-built `smt_bench --json` document (the `--pgo-from` file,
-/// written by `target/pgo/release/smt_bench`) against this run's measured
-/// references, like for like by name. `None` when the text is not an
-/// `"smt-bench"` document or shares no reference with `references`.
-pub fn pgo_uplift(pgo_document: &str, references: &[ReferenceResult]) -> Option<PgoBench> {
-    let pgo_rates = baseline_reference_rates(pgo_document)?;
-    let entries: Vec<(String, f64, f64)> = references
-        .iter()
-        .filter_map(|r| {
-            pgo_rates
-                .iter()
-                .find(|(name, _)| *name == r.name)
-                .map(|&(_, pgo)| (r.name.clone(), pgo, r.best.ips()))
-        })
-        .collect();
-    if entries.is_empty() {
-        return None;
-    }
-    Some(PgoBench { entries })
-}
-
 /// The machine-readable benchmark document: one entry per measured
 /// reference plus the headline. `smt_bench --json` writes this,
 /// pretty-rendered.
@@ -389,34 +227,11 @@ pub fn pgo_uplift(pgo_document: &str, references: &[ReferenceResult]) -> Option<
 /// the `references` map, keyed by canonical name, and the CI guard
 /// compares those like for like against the committed baseline.
 pub fn bench_to_json(references: &[ReferenceResult]) -> Json {
-    bench_to_json_with_checkpoints(references, &[])
-}
-
-/// [`bench_to_json`] plus the `--checkpoint` measurements: when
-/// `checkpoints` is non-empty the document carries an additional
-/// `checkpoints` map keyed by reference name (additive — documents
-/// without the flag are identical).
-pub fn bench_to_json_with_checkpoints(
-    references: &[ReferenceResult],
-    checkpoints: &[CheckpointBench],
-) -> Json {
-    bench_to_json_full(references, checkpoints, None)
-}
-
-/// The full `"smt-bench"` document: references, optional `--checkpoint`
-/// measurements and the optional `--pgo-from` uplift (the `pgo` object,
-/// schema version 5). Every optional section is additive —
-/// omitting them yields the same document older PRs committed.
-pub fn bench_to_json_full(
-    references: &[ReferenceResult],
-    checkpoints: &[CheckpointBench],
-    pgo: Option<&PgoBench>,
-) -> Json {
     let headline = references
         .iter()
         .max_by(|a, b| a.best.ips().total_cmp(&b.best.ips()))
         .expect("at least one reference");
-    let mut fields = vec![
+    Json::object([
         ("schema_version", Json::from(JSON_SCHEMA_VERSION)),
         ("kind", Json::from("smt-bench")),
         ("reference", Json::from(headline.name.clone())),
@@ -434,24 +249,14 @@ pub fn bench_to_json_full(
                 )
             })),
         ),
-    ];
-    if !checkpoints.is_empty() {
-        fields.push((
-            "checkpoints",
-            Json::object(checkpoints.iter().map(|c| (c.name.as_str(), c.to_json()))),
-        ));
-    }
-    if let Some(pgo) = pgo {
-        fields.push(("pgo", pgo.to_json()));
-    }
-    // Legacy mirror of the headline reference, so older consumers keep
-    // parsing the document.
-    fields.push((
-        "runs",
-        Json::array(headline.runs.iter().map(BenchResult::to_json)),
-    ));
-    fields.push(("best", headline.best.to_json()));
-    Json::object(fields)
+        // Legacy mirror of the headline reference, so older consumers keep
+        // parsing the document.
+        (
+            "runs",
+            Json::array(headline.runs.iter().map(BenchResult::to_json)),
+        ),
+        ("best", headline.best.to_json()),
+    ])
 }
 
 /// Extracts the headline insts/s rate from a rendered `"smt-bench"`
@@ -469,14 +274,23 @@ pub fn baseline_ips(text: &str) -> Option<f64> {
                 .and_then(|b| b.get("insts_per_second"))
                 .and_then(Json::as_f64)
         })
-        .filter(|v| *v > 0.0)
+        .filter(|&v| is_usable_rate(v))
+}
+
+/// Whether `rate` can anchor a regression guard: finite and positive. A
+/// zero or negative base rate would make `now < base * (1 - frac)` false
+/// for every measurement, silently disabling the guard for that reference.
+fn is_usable_rate(rate: f64) -> bool {
+    rate.is_finite() && rate > 0.0
 }
 
 /// Per-reference `(name, insts_per_sec)` rates from a bench document. For
 /// pre-version-3 documents — which measured only ICOUNT on the standard
 /// mix — the single headline rate is returned under its canonical
 /// `"ICOUNT/standard"` name, so like-for-like guards work across the whole
-/// committed trajectory.
+/// committed trajectory. `None` when any rate is missing, not finite or
+/// not positive: such a document cannot guard anything. Objects this
+/// crate no longer writes (see [`JSON_SCHEMA_VERSION`]) are ignored.
 pub fn baseline_reference_rates(text: &str) -> Option<Vec<(String, f64)>> {
     let doc = Json::parse(text).ok()?;
     if doc.get("kind").and_then(Json::as_str) != Some("smt-bench") {
@@ -485,7 +299,10 @@ pub fn baseline_reference_rates(text: &str) -> Option<Vec<(String, f64)>> {
     if let Some(refs) = doc.get("references").and_then(Json::as_object) {
         return refs
             .iter()
-            .map(|(name, entry)| Some((name.clone(), entry.get("insts_per_sec")?.as_f64()?)))
+            .map(|(name, entry)| {
+                let rate = entry.get("insts_per_sec")?.as_f64()?;
+                is_usable_rate(rate).then(|| (name.clone(), rate))
+            })
             .collect();
     }
     Some(vec![(
@@ -577,55 +394,6 @@ pub fn run_configured(fetch: &str, mix: &str, cycles: u64) -> BenchResult {
     }
 }
 
-/// The seven pipeline-phase names, in the order `smt-core`'s `phase-timing`
-/// probes accumulate them (and the order one simulated cycle runs them).
-pub const STAGE_NAMES: [&str; 7] = [
-    "mem.begin",
-    "completions",
-    "writeback",
-    "commit",
-    "issue",
-    "rename",
-    "fetch",
-];
-
-/// One pipeline stage's share of the reference run (`--stage-timing`).
-#[cfg(feature = "stage-timing")]
-#[derive(Debug, Clone, Copy)]
-pub struct StageResult {
-    /// Phase name ([`STAGE_NAMES`]).
-    pub name: &'static str,
-    /// Wall-clock nanoseconds accumulated inside the phase.
-    pub nanos: u64,
-    /// Committed instructions divided by this phase's seconds: how fast
-    /// the simulator would run if this stage were the whole cycle — the
-    /// per-stage insts/s that makes stages comparable across PRs even as
-    /// the total shifts.
-    pub insts_per_sec: f64,
-}
-
-/// Runs the reference machine (ICOUNT.2.8, standard mix) for `cycles`
-/// and returns the committed-instruction count plus each pipeline
-/// stage's accumulated wall clock and per-stage insts/s, measured by
-/// `smt-core`'s `phase-timing` probes. Only meaningful in a process that
-/// has not already run other simulations (the probes are global
-/// accumulators).
-#[cfg(feature = "stage-timing")]
-pub fn run_stage_timing(cycles: u64) -> (u64, Vec<StageResult>) {
-    let mut sim = SimConfig::new().build();
-    let committed = sim.run(cycles).total_committed();
-    let stages = STAGE_NAMES
-        .iter()
-        .zip(smt_core::pipeline_phase_ns())
-        .map(|(&name, nanos)| StageResult {
-            name,
-            nanos,
-            insts_per_sec: committed as f64 / (nanos as f64 / 1e9).max(1e-9),
-        })
-        .collect();
-    (committed, stages)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,6 +470,45 @@ mod tests {
             baseline_reference_rates(&legacy.render()),
             Some(vec![("ICOUNT/standard".to_string(), 123.0)])
         );
+        // A rate that is zero, negative or not finite would disable the
+        // guard for its reference, so such a document yields no rates: the
+        // zero-rate document a zero-cycle run would write, one bad entry
+        // next to a good one, and legacy documents with a bad headline.
+        let idle = BenchResult {
+            cycles: 0,
+            committed: 0,
+            wall: std::time::Duration::from_micros(1),
+        };
+        let bad_refs = [
+            bench_to_json(&[reference_of(idle, "icount", "standard")]),
+            bench_to_json(&[
+                reference_of(slow, "icount", "standard"),
+                reference_of(idle, "rr", "fp8"),
+            ]),
+        ];
+        for doc in &bad_refs {
+            assert_eq!(baseline_reference_rates(&doc.render_pretty()), None);
+        }
+        for rate in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let doc = Json::object([
+                ("schema_version", Json::from(5u64)),
+                ("kind", Json::from("smt-bench")),
+                (
+                    "references",
+                    Json::object([(
+                        "ICOUNT/standard",
+                        Json::object([("insts_per_sec", Json::from(rate))]),
+                    )]),
+                ),
+            ]);
+            assert_eq!(baseline_reference_rates(&doc.render()), None, "{rate}");
+            let legacy = Json::object([
+                ("schema_version", Json::from(2u64)),
+                ("kind", Json::from("smt-bench")),
+                ("insts_per_sec", Json::from(rate)),
+            ]);
+            assert_eq!(baseline_reference_rates(&legacy.render()), None, "{rate}");
+        }
     }
 
     #[test]
@@ -748,86 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_bench_measures_and_serializes() {
-        let c = bench_checkpoint("icount", "standard", 400, 1);
-        assert_eq!(c.name, "ICOUNT/standard");
-        assert_eq!(c.warm_cycles, 400);
-        assert!(c.bytes > 0, "checkpoint must have a size");
-        assert!(c.save > Duration::ZERO && c.restore > Duration::ZERO);
-
-        let r = run_reference(300);
-        let refs = [reference_of(r, "icount", "standard")];
-        // Additive: without checkpoints the document is unchanged …
-        let plain = bench_to_json(&refs).render_pretty();
-        assert!(!plain.contains("\"checkpoints\""));
-        // … and with them it carries the per-reference map.
-        let doc = bench_to_json_with_checkpoints(&refs, std::slice::from_ref(&c));
-        let back = Json::parse(&doc.render_pretty()).unwrap();
-        let entry = back
-            .get("checkpoints")
-            .and_then(|m| m.get("ICOUNT/standard"))
-            .expect("checkpoint entry present");
-        assert_eq!(
-            entry.get("checkpoint_bytes").and_then(Json::as_u64),
-            Some(c.bytes)
-        );
-        assert!(entry
-            .get("restore_seconds")
-            .and_then(Json::as_f64)
-            .is_some_and(|v| v > 0.0));
-    }
-
-    #[test]
-    fn pgo_uplift_pairs_like_for_like_and_serializes() {
-        let mut plain = run_reference(300);
-        plain.wall = Duration::from_millis(20);
-        let mut faster = plain;
-        faster.wall = Duration::from_millis(10); // the PGO build: 2x
-        let refs = [
-            reference_of(plain, "icount", "standard"),
-            reference_of(plain, "rr", "fp8"),
-        ];
-        // The "PGO build's document": same references, one twice as fast,
-        // plus one reference this run did not measure.
-        let pgo_doc = bench_to_json(&[
-            reference_of(faster, "icount", "standard"),
-            reference_of(plain, "icount", "int8"),
-            reference_of(plain, "rr", "fp8"),
-        ])
-        .render_pretty();
-        let pgo = pgo_uplift(&pgo_doc, &refs).expect("shared references");
-        // Only the two shared names pair up; ICOUNT/int8 is dropped.
-        assert_eq!(pgo.entries.len(), 2);
-        let by_name = |n: &str| {
-            pgo.entries
-                .iter()
-                .find(|(name, _, _)| name == n)
-                .map(|&(_, p, b)| p / b)
-                .expect("entry present")
-        };
-        assert!((by_name("ICOUNT/standard") - 2.0).abs() < 1e-9);
-        assert!((by_name("RR/fp8") - 1.0).abs() < 1e-9);
-        assert!((pgo.mean_uplift() - 2.0f64.sqrt()).abs() < 1e-9);
-
-        // Additive: the pgo object round-trips and leaves the guarded
-        // reference rates untouched (plain-build numbers).
-        let text = bench_to_json_full(&refs, &[], Some(&pgo)).render_pretty();
-        let back = Json::parse(&text).unwrap();
-        let entry = back
-            .get("pgo")
-            .and_then(|p| p.get("references"))
-            .and_then(|r| r.get("ICOUNT/standard"))
-            .expect("pgo entry present");
-        assert!((entry.get("uplift").and_then(Json::as_f64).unwrap() - 2.0).abs() < 1e-9);
-        let rates = baseline_reference_rates(&text).unwrap();
-        assert!(rates.iter().all(|(_, v)| (v - plain.ips()).abs() < 1e-9));
-        // A document with no shared references yields no measurement.
-        let other = bench_to_json(&[reference_of(plain, "icount", "int8")]).render_pretty();
-        assert!(pgo_uplift(&other, &refs).is_none());
-        assert!(pgo_uplift("not json", &refs).is_none());
-    }
-
-    #[test]
     fn bench_pr_numbers_parse_strictly() {
         assert_eq!(bench_pr_number("BENCH_PR2.json"), Some(2));
         assert_eq!(bench_pr_number("BENCH_PR10.json"), Some(10));
@@ -867,18 +594,40 @@ mod tests {
     #[test]
     fn repo_root_latest_baseline_is_discoverable() {
         // The committed trajectory files themselves: the guard must pin to
-        // the newest one (BENCH_PR3.json as of this PR) and it must parse.
+        // the newest one, and every one of them must still parse to a
+        // usable ICOUNT/standard rate, including the documents that carry
+        // objects no longer written (`checkpoints`, `fleet`, the
+        // profile-guided-build uplift).
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("..")
             .join("..");
         let (path, n) = find_latest_baseline(&root).expect("committed BENCH_*.json present");
-        assert!(n >= 3, "newest committed baseline regressed to PR{n}");
-        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(n >= 8, "newest committed baseline regressed to PR{n}");
         assert!(
-            baseline_ips(&text).is_some(),
+            baseline_ips(&std::fs::read_to_string(&path).unwrap()).is_some(),
             "{} is not a valid smt-bench document",
             path.display()
         );
+        let mut seen = Vec::new();
+        for entry in std::fs::read_dir(&root).unwrap().flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            let Some(pr) = bench_pr_number(&name) else {
+                continue;
+            };
+            let text = std::fs::read_to_string(entry.path()).unwrap();
+            let rates = baseline_reference_rates(&text)
+                .unwrap_or_else(|| panic!("{name} carries no usable reference rates"));
+            assert!(
+                rates
+                    .iter()
+                    .any(|(ref_name, rate)| ref_name == "ICOUNT/standard" && *rate > 0.0),
+                "{name} has no positive ICOUNT/standard rate"
+            );
+            seen.push(pr);
+        }
+        for pr in [2, 3, 5, 6, 7, 8] {
+            assert!(seen.contains(&pr), "BENCH_PR{pr}.json was not checked");
+        }
     }
 
     #[test]

@@ -105,9 +105,10 @@ pub use report::{FetchBreakdown, IssueBreakdown, SimReport, ThreadReport};
 /// Per-phase wall-clock nanoseconds accumulated by the cycle driver since
 /// process start, in phase order: memory begin-cycle, miss completions,
 /// writeback, commit, issue, rename, fetch. Only available with the
-/// `phase-timing` feature (see "Profiling the hot loop" in the `smt-bench`
-/// crate docs); the probes cost ~15% of throughput, so they are compiled
-/// out by default.
+/// `phase-timing` feature, which the repository benchmark's traced build
+/// turns on to report each phase's share (see `perfbench/README.md`,
+/// `core.phase.*_pct`); the probes cost ~15% of throughput, so they are
+/// compiled out by default.
 #[cfg(feature = "phase-timing")]
 pub fn pipeline_phase_ns() -> [u64; 7] {
     let mut out = [0; 7];

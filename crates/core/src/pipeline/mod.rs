@@ -382,7 +382,8 @@ impl RenameScratch {
 
 /// Per-phase wall-clock accumulators behind the `phase-timing` feature
 /// (memory begin-cycle, completions, writeback, commit, issue, rename,
-/// fetch) — see "Profiling the hot loop" in the `smt-bench` crate docs.
+/// fetch), read through `pipeline_phase_ns` — see `perfbench/README.md`
+/// (`core.phase.*_pct`) for the benchmark that reports them.
 #[cfg(feature = "phase-timing")]
 pub static PHASE_NS: [std::sync::atomic::AtomicU64; 7] = [
     std::sync::atomic::AtomicU64::new(0),
